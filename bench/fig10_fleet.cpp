@@ -70,18 +70,17 @@ void print_planner_sweep() {
     for (const std::size_t stops : {400, 1600}) {
       for (const bool cooperative : {true, false}) {
         std::vector<double> utility, scheduled, unscheduled, moves;
-        std::string name;
+        // One planner serves every instance: plan() keeps arenas only, no
+        // state a later instance could observe.
+        const csa::CooperativeFleetPlanner coop;
+        const csa::reference::NaiveFleetPlanner naive;
+        const csa::FleetPlanner& planner =
+            cooperative ? static_cast<const csa::FleetPlanner&>(coop)
+                        : static_cast<const csa::FleetPlanner&>(naive);
+        const std::string name(planner.name());
         for (int seed = 1; seed <= kSeeds; ++seed) {
           const csa::FleetInstance inst = random_fleet(
               fleet, 24, stops, static_cast<std::uint64_t>(seed));
-          // One planner per instance: the cooperative planner's distance
-          // memo is keyed by node id and assumes one fixed deployment.
-          const csa::CooperativeFleetPlanner coop;
-          const csa::reference::NaiveFleetPlanner naive;
-          const csa::FleetPlanner& planner =
-              cooperative ? static_cast<const csa::FleetPlanner&>(coop)
-                          : static_cast<const csa::FleetPlanner&>(naive);
-          name = planner.name();
           const csa::FleetPlan plan = planner.plan(inst);
           utility.push_back(plan.utility);
           scheduled.push_back(double(plan.keys_scheduled));

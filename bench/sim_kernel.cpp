@@ -1,7 +1,8 @@
 // Event-kernel and world-update performance: the cost of death cascades
 // under the incremental (Fast) updater versus the full-rebuild Reference
-// path, the kernel's schedule/cancel churn rate, and an end-to-end fig5
-// exhaustion trial under both modes.
+// path, the kernel's schedule/cancel churn rate, an end-to-end fig5
+// exhaustion trial under both modes, and whole attack/benign missions at
+// N = 100 / 1.6k / 10k (BM_Mission).
 //
 // Reproduce with bench/run_benchmarks.sh, which records the JSON trajectory
 // in BENCH_sim.json (see EXPERIMENTS.md).  The headline criterion: the Fast
@@ -11,10 +12,13 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <string_view>
 
 #include "analysis/scenario.hpp"
 #include "common/rng.hpp"
+#include "core/planners.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -218,6 +222,89 @@ BENCHMARK(BM_FrontierTrial)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+/// Forwards to a CsaPlanner (so missions are bit-identical to the default
+/// planner's) and counts the replans and the stops each one was handed.
+class CountingPlanner final : public csa::Planner {
+ public:
+  std::string_view name() const override { return inner_.name(); }
+  csa::Plan plan(const csa::TideInstance& instance, Rng& rng) const override {
+    count(instance);
+    return inner_.plan(instance, rng);
+  }
+  void plan_into(const csa::TideInstance& instance, Rng& rng,
+                 csa::Plan& out) const override {
+    count(instance);
+    inner_.plan_into(instance, rng, out);
+  }
+
+  mutable std::uint64_t replans = 0;
+  mutable std::uint64_t stops = 0;
+
+ private:
+  void count(const csa::TideInstance& instance) const {
+    ++replans;
+    stops += instance.stops.size();
+  }
+  csa::CsaPlanner inner_;
+};
+
+// The headline number: one whole mission (`run_mission`: topology, key
+// selection, simulate to a 120 h horizon, detectors, report) at the
+// calibrated default density (a 40*sqrt(N) m square field, 65 m radios,
+// 80 m at N=10k), depot at the field centre, seed 42.  Attack rows run the
+// CSA attacker (a fleet of 4 puts it in one Voronoi cell next to three
+// honest chargers); benign rows run the honest NJNP charger and never plan.
+// Counters: kernel events, attacker replans, and mean TIDE stops per
+// replan (each replan's travel matrix spans that many stops).
+void BM_Mission(benchmark::State& state) {
+  const bool attack = state.range(0) != 0;
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto fleet = static_cast<std::size_t>(state.range(2));
+  analysis::ScenarioConfig cfg = analysis::default_scenario();
+  const double side = 40.0 * std::sqrt(double(n));
+  cfg.topology.node_count = n;
+  cfg.topology.region = {{0.0, 0.0}, {side, side}};
+  cfg.topology.comm_range = comm_range_for(n);
+  cfg.horizon = 120 * 3'600.0;
+  cfg.attack.campaign_deadline = cfg.horizon;
+  cfg.attack.charger.depot = {side / 2.0, side / 2.0};
+  cfg.benign.charger.depot = cfg.attack.charger.depot;
+  cfg.fleet_size = fleet;
+  cfg.fleet_compromised = 0;
+  cfg.seed = 42;
+  const analysis::ChargerMode mode = attack ? analysis::ChargerMode::Attack
+                                            : analysis::ChargerMode::Benign;
+  std::uint64_t events = 0;
+  std::uint64_t replans = 0;
+  std::uint64_t stops = 0;
+  std::size_t alive = 0;
+  for (auto _ : state) {
+    const CountingPlanner planner;
+    const analysis::ScenarioResult result =
+        analysis::run_mission(cfg, mode, &planner);
+    benchmark::DoNotOptimize(result.alive_at_end);
+    events = result.events_executed;
+    replans = planner.replans;
+    stops = planner.stops;
+    alive = result.alive_at_end;
+  }
+  state.counters["events"] = double(events);
+  state.counters["replans"] = double(replans);
+  state.counters["stops_per_replan"] =
+      replans > 0 ? double(stops) / double(replans) : 0.0;
+  state.counters["alive_at_end"] = double(alive);
+}
+BENCHMARK(BM_Mission)
+    ->ArgNames({"attack", "nodes", "fleet"})
+    ->Args({1, 100, 1})
+    ->Args({1, 1'600, 1})
+    ->Args({1, 10'000, 1})
+    ->Args({1, 1'600, 4})
+    ->Args({0, 100, 1})
+    ->Args({0, 1'600, 1})
+    ->Args({0, 10'000, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Observability overhead: the fig5 trial with a MetricRegistry installed

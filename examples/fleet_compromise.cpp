@@ -7,11 +7,24 @@
 #include <cstdlib>
 #include <iostream>
 #include <set>
+#include <string>
 
 #include "analysis/scenario.hpp"
 #include "analysis/table.hpp"
 #include "mc/fleet.hpp"
 #include "net/topology.hpp"
+
+namespace {
+
+/// "#k".  Appended piecewise: `"#" + std::to_string(k)` inlines a
+/// basic_string::insert that GCC 12 flags with a false -Wrestrict.
+std::string member_label(std::size_t k) {
+  std::string label = "#";
+  label += std::to_string(k);
+  return label;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace wrsn;
@@ -32,7 +45,7 @@ int main(int argc, char** argv) {
     const analysis::ScenarioResult result = analysis::run_fleet_scenario(
         cfg, kFleet, bad < kFleet ? bad : SIZE_MAX);
     const csa::AttackReport& r = result.report;
-    table.row({bad < kFleet ? "#" + std::to_string(bad) : "none (honest)",
+    table.row({bad < kFleet ? member_label(bad) : "none (honest)",
                std::to_string(r.keys_dead) + "/" +
                    std::to_string(r.keys_total),
                std::to_string(r.keys_dead_before_detection),
@@ -62,7 +75,7 @@ int main(int argc, char** argv) {
     for (const sim::DeathRecord& d : result.trace.deaths) {
       if (cell.count(d.node) > 0) ++deaths;
     }
-    cells_table.row({"#" + std::to_string(k),
+    cells_table.row({member_label(k),
                      std::to_string(cells[k].size()),
                      std::to_string(deaths)});
   }

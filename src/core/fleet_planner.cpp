@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "core/route_state.hpp"
@@ -160,25 +159,6 @@ void CooperativeFleetPlanner::plan_into(const FleetInstance& instance,
     return;
   }
 
-  // Member instances share the stop pool, so one node-pair distance memo
-  // (the orchestrator's cross-replan idiom) pays each pair's sqrt once
-  // across the M travel-matrix fills instead of M times.  The memo lives on
-  // the planner: node positions never move, so entries stay valid across
-  // replans and a steady-state refill does no distance work at all.
-  auto& pair_memo = pair_memo_;
-  const TravelMatrix::PairDistance pair_distance =
-      [&pair_memo](const Stop& a, const Stop& b) -> Meters {
-    if (a.node == net::kInvalidNode || b.node == net::kInvalidNode) {
-      return geom::distance(a.position, b.position);
-    }
-    const net::NodeId lo = std::min(a.node, b.node);
-    const net::NodeId hi = std::max(a.node, b.node);
-    const std::uint64_t key = (static_cast<std::uint64_t>(lo) << 32) | hi;
-    const auto [it, inserted] = pair_memo.try_emplace(key, 0.0);
-    if (inserted) it->second = geom::distance(a.position, b.position);
-    return it->second;
-  };
-
   insts_.resize(m);
   matrices_.resize(m);
   routes_.resize(m);
@@ -188,7 +168,7 @@ void CooperativeFleetPlanner::plan_into(const FleetInstance& instance,
     insts_[k].speed = instance.chargers[k].speed;
     insts_[k].stops = instance.stops;
     if (!matrices_[k]) matrices_[k] = std::make_shared<TravelMatrix>();
-    matrices_[k]->rebuild(insts_[k], pair_distance);
+    matrices_[k]->rebuild(insts_[k]);
     insts_[k].set_travel_matrix(
         std::shared_ptr<const TravelMatrix>(matrices_[k]));
     routes_[k].bind(insts_[k]);

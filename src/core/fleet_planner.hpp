@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/planners.hpp"
@@ -96,33 +95,28 @@ class FleetPlanner {
 };
 
 /// The production fleet planner (phases A-E above) on the slack-based
-/// RouteState, sharing one node-pair distance memo across the M travel
-/// matrices of a plan() call.
+/// RouteState.  Each charger's travel matrix fills rows on demand, so a
+/// plan materialises only the rows of stops that enter some route.
 ///
 /// Same thread-affinity rule as csa::Planner (mutable arenas: one thread
-/// at a time), plus one more: the distance memo is keyed by node id and
-/// assumes one fixed deployment, so a planner instance must not be reused
-/// across unrelated instances whose node ids map to different positions.
+/// at a time).
 class CooperativeFleetPlanner final : public FleetPlanner {
  public:
   std::string_view name() const override { return "Fleet-CSA"; }
   FleetPlan plan(const FleetInstance& instance) const override;
   /// In-place variant for the replan loop.  All per-charger state (member
   /// instances, travel matrices, route states) and every phase's scratch
-  /// list are arenas reused across calls, and the node-pair distance memo
-  /// persists (node positions never move), so a steady-state replan over a
+  /// list are arenas reused across calls, so a steady-state replan over a
   /// previously seen stop set performs no heap allocation (sim_alloc_test
   /// pins this).
   void plan_into(const FleetInstance& instance, FleetPlan& out) const;
 
  private:
   // plan() is const (FleetPlanner interface); the arenas hold no cross-call
-  // state a later call can observe — the distance memo only caches a pure
-  // function of immutable node geometry.
+  // state a later call can observe.
   mutable std::vector<TideInstance> insts_;
   mutable std::vector<std::shared_ptr<TravelMatrix>> matrices_;
   mutable std::vector<RouteState> routes_;
-  mutable std::unordered_map<std::uint64_t, Meters> pair_memo_;
   mutable std::vector<std::size_t> alive_;
   mutable std::vector<std::size_t> keys_;
   mutable std::vector<std::size_t> seed_;

@@ -2,8 +2,8 @@
 //
 // Runs the same partition-then-auction phases as CooperativeFleetPlanner
 // (core/fleet_planner.hpp) but on the tail-walking NaiveRouteState with the
-// original full-rescore greedy fills and per-charger travel matrices built
-// fresh — no slack arrays, no CELF laziness, no shared distance memo.  It
+// original full-rescore greedy fills and travel times recomputed per leg —
+// no slack arrays, no CELF laziness, no travel matrices.  It
 // exists ONLY as the executable specification for the FleetPlanEquivalence
 // suite (tests/fleet_plan_equivalence_test.cpp), which pins the fast
 // planner's plans bit-for-bit to this one.  Do not use it in benches or

@@ -57,8 +57,6 @@ AttackAgent::AttackAgent(sim::World& world, const AttackParams& params,
 
 AttackAgent::~AttackAgent() {
   WRSN_OBS_ADD(kCsaReplans, double(plans_computed_));
-  WRSN_OBS_ADD(kCsaTravelMemoHits, double(memo_hits_));
-  WRSN_OBS_ADD(kCsaTravelMemoMisses, double(memo_misses_));
   WRSN_OBS_ADD(kMcSessions, double(sessions_ended_));
   WRSN_OBS_ADD(kMcSessionsSpoofed, double(spoofed_sessions_ended_));
 }
@@ -343,34 +341,8 @@ void AttackAgent::build_instance(TideInstance& instance) const {
 }
 
 void AttackAgent::prime_travel_matrix(TideInstance& instance) const {
-  // memo_hits_/memo_misses_ are plain member tallies flushed once by the
-  // destructor: the memo lambda runs O(stops²) per replan, far too hot for
-  // a registry write per lookup.
-  if (memo_topology_version_ != world_.topology_version()) {
-    // Mobility moved nodes since the memo was filled: every cached pair
-    // distance is stale.
-    stop_pair_distance_.clear();
-    memo_topology_version_ = world_.topology_version();
-  }
   if (!travel_matrix_) travel_matrix_ = std::make_shared<TravelMatrix>();
-  travel_matrix_->rebuild(
-      instance, [this](const Stop& a, const Stop& b) -> Meters {
-        if (a.node == net::kInvalidNode || b.node == net::kInvalidNode) {
-          return geom::distance(a.position, b.position);
-        }
-        const net::NodeId lo = std::min(a.node, b.node);
-        const net::NodeId hi = std::max(a.node, b.node);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(lo) << 32) | hi;
-        const auto [it, inserted] = stop_pair_distance_.try_emplace(key, 0.0);
-        if (inserted) {
-          ++memo_misses_;
-          it->second = geom::distance(a.position, b.position);
-        } else {
-          ++memo_hits_;
-        }
-        return it->second;
-      });
+  travel_matrix_->rebuild(instance);
   instance.set_travel_matrix(
       std::shared_ptr<const TravelMatrix>(travel_matrix_));
 }

@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -105,9 +104,9 @@ class AttackAgent {
   AttackAgent(const AttackAgent&) = delete;
   AttackAgent& operator=(const AttackAgent&) = delete;
 
-  /// Flushes the agent's accumulated tallies (replans, travel-memo hits,
-  /// session counts) to the installed obs registry in one shot — the
-  /// per-replan and per-session paths are too hot for a write each.
+  /// Flushes the agent's accumulated tallies (replans, session counts) to
+  /// the installed obs registry in one shot — the per-replan and
+  /// per-session paths are too hot for a write each.
   ~AttackAgent();
 
   /// Selects key targets from the current routing state, subscribes to world
@@ -167,9 +166,8 @@ class AttackAgent {
   /// Builds the TIDE snapshot (pending requests + predicted key windows)
   /// into `instance`, reusing its stop storage.
   void build_instance(TideInstance& instance) const;
-  /// Installs the instance's travel matrix — the agent-owned matrix arena
-  /// refilled in place — reusing node-pair distances memoized across this
-  /// agent's replans.
+  /// Installs the instance's travel matrix: the agent-owned matrix arena,
+  /// rebound in place (rows fill on demand as the planner reads them).
   void prime_travel_matrix(TideInstance& instance) const;
   /// Replans and engages the next leg (idle vehicles only).
   void replan();
@@ -196,14 +194,6 @@ class AttackAgent {
   std::vector<Seconds> kill_schedule_;
   /// Keys already spoof-killed (their deaths are pre-counted predictively).
   std::unordered_set<net::NodeId> spoof_killed_;
-  /// Node-pair distances memoized across replans: consecutive TIDE
-  /// snapshots overlap heavily in stops (node positions only move on
-  /// mobility epochs), so the travel matrix of each instance is primed from
-  /// here instead of recomputing sqrt per pair.  Keyed by packed
-  /// (min id, max id); invalidated wholesale whenever the world's topology
-  /// version moves (a mobility epoch changed positions).
-  mutable std::unordered_map<std::uint64_t, Meters> stop_pair_distance_;
-  mutable std::uint64_t memo_topology_version_ = 0;
   /// Replan arenas: the instance snapshot, its travel matrix, and the plan
   /// are rebuilt in place every replan, so steady-state replanning (stop
   /// set previously seen) performs no heap allocation (sim_alloc_test).
@@ -235,8 +225,6 @@ class AttackAgent {
   // Observability tallies, flushed by the destructor.  The session pair
   // counts completed sessions (the *_sessions_ counters above tick at
   // session start, so an in-flight session at the horizon would skew them).
-  mutable std::uint64_t memo_hits_ = 0;
-  mutable std::uint64_t memo_misses_ = 0;
   std::uint64_t sessions_ended_ = 0;
   std::uint64_t spoofed_sessions_ended_ = 0;
 };

@@ -18,6 +18,7 @@ void RouteState::bind(const TideInstance& instance) {
   inst_ = &instance;
   tt_ = &instance.travel_matrix();
   order_.clear();
+  rows_.clear();
   arrival_.clear();
   start_.clear();
   depart_.clear();
@@ -27,6 +28,7 @@ void RouteState::bind(const TideInstance& instance) {
 
 void RouteState::reserve(std::size_t stops) {
   order_.reserve(stops);
+  rows_.reserve(stops);
   arrival_.reserve(stops);
   start_.reserve(stops);
   depart_.reserve(stops);
@@ -40,8 +42,10 @@ std::optional<Seconds> RouteState::try_insert(std::size_t stop,
   const Stop& s = inst_->stops[stop];
 
   const Seconds prev_depart = pos == 0 ? inst_->start_time : depart_[pos - 1];
+  // Legs are read from the route stops' rows (the matrix is symmetric), so
+  // only stops already on the route ever have a row materialised.
   const Seconds leg_in =
-      pos == 0 ? tt_->from_start(stop) : tt_->between(order_[pos - 1], stop);
+      pos == 0 ? tt_->from_start(stop) : rows_[pos - 1][stop];
   const Seconds arrival = prev_depart + leg_in;
   const Seconds start = std::max(arrival, s.window_open);
   if (start > s.window_close + kWindowEpsilon) return std::nullopt;
@@ -52,7 +56,7 @@ std::optional<Seconds> RouteState::try_insert(std::size_t stop,
   // Arrival delay imposed on the first downstream stop (>= 0 up to rounding
   // by the triangle inequality).  Feasible iff the tail can absorb it.
   const Seconds delay =
-      depart + tt_->between(stop, order_[pos]) - arrival_[pos];
+      depart + rows_[pos][stop] - arrival_[pos];
   if (delay > slack_[pos]) return std::nullopt;
 
   // Waiting along the tail soaks up the delay; whatever survives the suffix
@@ -66,15 +70,17 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
     std::size_t stop) const {
   // Flattened position scan: one pass with try_insert's exact arithmetic,
   // but the per-position invariants hoisted out of the loop — the stop's
-  // window/service fields, its travel-matrix row (between(i, stop) ==
-  // row(stop)[i] by symmetry), and a running previous-departure instead of
-  // re-branching on pos == 0.  Every candidate delta is >= 0 (appending
-  // never shortens the route; interior deltas are clamped residuals), so a
-  // delta of exactly 0.0 cannot be beaten and, with the first-strict-min
-  // tie-break, cannot even be tied away from — scan over.
+  // window/service fields, a running previous-departure instead of
+  // re-branching on pos == 0, and the leg into position pos + 1 carried
+  // over from position pos's leg out (both are rows_[pos][stop]).  Legs
+  // come from the route stops' rows, never the candidate's, so a scan
+  // materialises no row for a stop that is not on the route.  Every
+  // candidate delta is >= 0 (appending never shortens the route; interior
+  // deltas are clamped residuals), so a delta of exactly 0.0 cannot be
+  // beaten and, with the first-strict-min tie-break, cannot even be tied
+  // away from — scan over.
   const Stop& s = inst_->stops[stop];
   const std::size_t n = order_.size();
-  const Seconds* const row = tt_->row(stop);
   const Seconds open = s.window_open;
   const Seconds close_eps = s.window_close + kWindowEpsilon;
   const Seconds service = s.service_time;
@@ -91,22 +97,23 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
   std::size_t best_pos = n + 1;
   Seconds best_delta = kInfSlack;
   Seconds prev_depart = inst_->start_time;
+  Seconds leg_in = tt_->from_start(stop);
   for (std::size_t pos = 0; pos <= pos_end; ++pos) {
-    const Seconds leg_in = pos == 0 ? tt_->from_start(stop)
-                                    : row[order_[pos - 1]];
     const Seconds arrival = prev_depart + leg_in;
     const Seconds start = std::max(arrival, open);
-    if (start <= close_eps) {
-      if (pos == n) {
+    if (pos == n) {
+      if (start <= close_eps) {
         const Seconds delta = start + service - completion();
         if (delta < best_delta) {
           best_delta = delta;
           best_pos = pos;
         }
-        break;  // last position either way
       }
-      const Seconds delay =
-          start + service + row[order_[pos]] - arrival_[pos];
+      break;  // last position either way
+    }
+    const Seconds leg_out = rows_[pos][stop];
+    if (start <= close_eps) {
+      const Seconds delay = start + service + leg_out - arrival_[pos];
       if (delay <= slack_[pos]) {
         const Seconds residual = delay - waitsum_[pos];
         const Seconds delta = residual > kWindowEpsilon ? residual : 0.0;
@@ -117,7 +124,8 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
         }
       }
     }
-    if (pos < n) prev_depart = depart_[pos];
+    prev_depart = depart_[pos];
+    leg_in = leg_out;
   }
   if (best_pos > n) return std::nullopt;
   return std::make_pair(best_pos, best_delta);
@@ -126,6 +134,8 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
 void RouteState::insert(std::size_t stop, std::size_t pos) {
   WRSN_ASSERT(try_insert(stop, pos).has_value());
   order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(pos), stop);
+  rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(pos),
+               tt_->row(stop));
   rebuild();
 }
 
@@ -152,8 +162,8 @@ void RouteState::rebuild() {
   Seconds clock = inst_->start_time;
   for (std::size_t k = 0; k < n; ++k) {
     const Stop& s = inst_->stops[order_[k]];
-    const Seconds leg = k == 0 ? tt_->from_start(order_[0])
-                               : tt_->between(order_[k - 1], order_[k]);
+    const Seconds leg =
+        k == 0 ? tt_->from_start(order_[0]) : rows_[k - 1][order_[k]];
     arrival_[k] = clock + leg;
     start_[k] = std::max(arrival_[k], s.window_open);
     WRSN_ASSERT(start_[k] <= s.window_close + kWindowEpsilon);

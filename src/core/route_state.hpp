@@ -26,8 +26,11 @@
 // plan-equivalence property test (tests/property_test.cpp) which pins this
 // implementation to the retained reference in core/reference_planner.hpp.
 //
-// All travel times come from the instance's cached TravelMatrix, so the
-// inner loops perform no sqrt at all.
+// All travel times come from the instance's TravelMatrix, read from the
+// rows of stops already on the route (the matrix is symmetric): a stop's
+// row is materialised when the stop is inserted, and the scans index those
+// rows through cached pointers, so the inner loops perform no sqrt and no
+// row-fill check, and a candidate never costs a row of its own.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +100,9 @@ class RouteState {
   const TideInstance* inst_ = nullptr;
   const TravelMatrix* tt_ = nullptr;
   std::vector<std::size_t> order_;
+  /// rows_[pos] == tt_->row(order_[pos]), cached at insert (valid until the
+  /// matrix is rebuilt, which always precedes a bind()).
+  std::vector<const Seconds*> rows_;
   std::vector<Seconds> arrival_;
   std::vector<Seconds> start_;
   std::vector<Seconds> depart_;

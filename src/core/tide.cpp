@@ -16,45 +16,39 @@ Seconds TideInstance::travel_time(geom::Vec2 from, geom::Vec2 to) const {
   return geom::distance(from, to) / speed;
 }
 
-TravelMatrix TravelMatrix::build(const TideInstance& instance,
-                                 const PairDistance& pair_distance) {
+TravelMatrix TravelMatrix::build(const TideInstance& instance) {
   TravelMatrix m;
-  m.rebuild(instance, pair_distance);
+  m.rebuild(instance);
   return m;
 }
 
-void TravelMatrix::rebuild(const TideInstance& instance,
-                           const PairDistance& pair_distance) {
+void TravelMatrix::rebuild(const TideInstance& instance) {
   n_ = instance.stops.size();
+  speed_ = instance.speed;
+  ++generation_;
+  rows_filled_ = 0;
+  positions_.resize(n_);
   start_row_.resize(n_);
-  cell_.assign(n_ * n_, 0.0);
   for (std::size_t i = 0; i < n_; ++i) {
+    positions_[i] = instance.stops[i].position;
     start_row_[i] =
-        geom::distance(instance.start_position, instance.stops[i].position) /
-        instance.speed;
+        geom::distance(instance.start_position, positions_[i]) / speed_;
   }
-  // Tile size: a 64x64 double block (32 KiB) plus its transpose fit in L1/L2
-  // together, so the mirrored cell_[j * n_ + i] writes land in a resident
-  // block instead of touching a fresh cache line per write once n_ is large.
-  constexpr std::size_t kTile = 64;
-  for (std::size_t i0 = 0; i0 < n_; i0 += kTile) {
-    const std::size_t i1 = std::min(i0 + kTile, n_);
-    for (std::size_t j0 = i0; j0 < n_; j0 += kTile) {
-      const std::size_t j1 = std::min(j0 + kTile, n_);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const Stop& a = instance.stops[i];
-        for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) {
-          const Stop& b = instance.stops[j];
-          const Meters d = pair_distance
-                               ? pair_distance(a, b)
-                               : geom::distance(a.position, b.position);
-          const Seconds t = d / instance.speed;
-          cell_[i * n_ + j] = t;
-          cell_[j * n_ + i] = t;
-        }
-      }
-    }
+  if (row_gen_.size() < n_) row_gen_.resize(n_, 0);
+  if (cell_capacity_ < n_ * n_) {
+    cell_capacity_ = n_ * n_;
+    cells_.reset(new Seconds[cell_capacity_]);
   }
+}
+
+void TravelMatrix::fill_row(std::size_t i) const {
+  const geom::Vec2 from = positions_[i];
+  Seconds* const out = cells_.get() + i * n_;
+  for (std::size_t j = 0; j < n_; ++j) {
+    out[j] = geom::distance(from, positions_[j]) / speed_;
+  }
+  row_gen_[i] = generation_;
+  ++rows_filled_;
 }
 
 const TravelMatrix& TideInstance::travel_matrix() const {

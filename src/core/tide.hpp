@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -43,56 +43,57 @@ struct Stop {
   bool is_key = false;
 };
 
-/// Dense symmetric travel-time matrix over an instance's stops plus a row
-/// for the charger's start position.  Built once per instance (lazily on the
-/// planner's first use) so the planners' inner loops never recompute the
-/// sqrt behind geom::distance.  Values are bit-identical to
-/// TideInstance::travel_time on the same endpoints: each pair's distance is
-/// computed once and mirrored (hypot is sign-symmetric), then divided by the
-/// instance speed with the same expression.
+/// Symmetric travel-time matrix over an instance's stops plus a row for the
+/// charger's start position, filled ROW BY ROW ON DEMAND.  rebuild() is
+/// O(n): it snapshots the stop positions and the speed, computes the start
+/// row and bumps a generation stamp; row i is computed the first time it is
+/// read in the current generation.  Insertion planners only read the rows of
+/// stops already on the route (a leg next to a route stop is that stop's
+/// row, by symmetry), so a plan touches O(route * n) cells, not O(n^2).
+/// Every cell is geom::distance(a, b) / speed — bit-identical to
+/// TideInstance::travel_time on the same endpoints, in either direction
+/// (hypot is sign-symmetric).  The lazy fill mutates through const
+/// accessors: one thread at a time, like every planner arena.
 class TravelMatrix {
  public:
-  /// Supplies the straight-line distance for a stop pair; the orchestrator
-  /// injects a memoized version so node-pair distances survive across the
-  /// receding-horizon replans of overlapping stop sets.
-  using PairDistance = std::function<Meters(const Stop&, const Stop&)>;
-
   TravelMatrix() = default;
-  /// Builds from instance geometry; `pair_distance` (optional) overrides how
-  /// stop-pair distances are obtained.  The start row is always computed
-  /// fresh (the charger moves between replans).
-  static TravelMatrix build(const TideInstance& instance,
-                            const PairDistance& pair_distance = nullptr);
+  static TravelMatrix build(const TideInstance& instance);
 
-  /// In-place variant of build(): refills this matrix for `instance`,
+  /// In-place variant of build(): rebinds this matrix to `instance`,
   /// reusing the existing storage (allocation-free once capacity covers the
-  /// stop count).  The fill is cache-blocked: the upper triangle is walked
-  /// in square tiles so the mirrored column writes stay inside one resident
-  /// block instead of striding the full row length per write.  Cell values
-  /// are bit-identical to build()'s for any fill order (each is a pure
-  /// per-pair function).
-  void rebuild(const TideInstance& instance,
-               const PairDistance& pair_distance = nullptr);
+  /// stop count).  Storage only grows and is never cleared; the generation
+  /// bump alone invalidates every previously filled row.
+  void rebuild(const TideInstance& instance);
 
   std::size_t size() const { return n_; }
   /// Travel time from the instance start position to stop `i`.
   Seconds from_start(std::size_t i) const { return start_row_[i]; }
-  /// Travel time between stops `i` and `j` (symmetric).
-  Seconds between(std::size_t i, std::size_t j) const {
-    return cell_[i * n_ + j];
+  /// Travel time between stops `i` and `j` (symmetric); fills row i.
+  Seconds between(std::size_t i, std::size_t j) const { return row(i)[j]; }
+  /// Row `i` as a flat lane: row(i)[j] == between(i, j).  The pointer stays
+  /// valid until the next rebuild().
+  const Seconds* row(std::size_t i) const {
+    if (row_gen_[i] != generation_) fill_row(i);
+    return cells_.get() + i * n_;
   }
-  /// Row `i` as a flat lane: row(i)[j] == between(i, j).  The planners hoist
-  /// a candidate stop's row out of their position scans so the inner loop
-  /// indexes one contiguous array.
-  const Seconds* row(std::size_t i) const { return cell_.data() + i * n_; }
-  /// The whole start-leg lane (from_start(i) == start_row()[i]); lets the
-  /// batched insertion rescore index it like a matrix row.
-  const Seconds* start_row() const { return start_row_.data(); }
+  /// Rows materialised since the last rebuild().
+  std::size_t rows_filled() const { return rows_filled_; }
 
  private:
+  void fill_row(std::size_t i) const;
+
   std::size_t n_ = 0;
+  MetersPerSecond speed_ = 1.0;
+  std::uint64_t generation_ = 0;
+  std::vector<geom::Vec2> positions_;
   std::vector<Seconds> start_row_;
-  std::vector<Seconds> cell_;  ///< n_ x n_, row-major, symmetric
+  /// n_ x n_ row-major cells; only the rows stamped with the current
+  /// generation hold values.  Raw (uninitialised) storage: a row that is
+  /// never read is never written, not even zero-filled.
+  std::unique_ptr<Seconds[]> cells_;
+  std::size_t cell_capacity_ = 0;
+  mutable std::vector<std::uint64_t> row_gen_;
+  mutable std::size_t rows_filled_ = 0;
 };
 
 /// A static TIDE planning problem.
@@ -105,12 +106,11 @@ struct TideInstance {
   std::size_t key_count() const;
   /// Travel time between two stop positions at the instance speed.
   Seconds travel_time(geom::Vec2 from, geom::Vec2 to) const;
-  /// The cached travel-time matrix, built on first call (planners call this
-  /// once per plan).  Lazy init is NOT thread-safe; every runner thread owns
-  /// its instances, which is the repo-wide convention.
+  /// The cached travel-time matrix, bound on first call (planners call this
+  /// once per plan).  Lazy init and row fill are NOT thread-safe; every
+  /// runner thread owns its instances, which is the repo-wide convention.
   const TravelMatrix& travel_matrix() const;
-  /// Installs a pre-built matrix (the orchestrator primes it from its
-  /// cross-replan node-pair distance cache).  Must cover `stops`.
+  /// Installs a pre-built matrix.  Must cover `stops`.
   void set_travel_matrix(TravelMatrix matrix);
   /// Shares an externally owned matrix without copying it — the zero-alloc
   /// replan path: the caller rebuild()s its arena matrix in place and

@@ -62,8 +62,6 @@ enum class Metric : std::uint16_t {
   kCsaInsertionsTried,
   kCsaCacheHits,
   kCsaCacheMisses,
-  kCsaTravelMemoHits,
-  kCsaTravelMemoMisses,
   kCsaPlanNs,  ///< timing histogram: one CSA plan() call
   // Mobile charger energy ledger (src/mc/charger.cpp, orchestrator/agent).
   kMcSessions,
@@ -178,8 +176,6 @@ inline constexpr std::array<MetricDef, kMetricCount> kDefTable{{
     counter("csa.insertions_tried"),
     counter("csa.cache_hits"),
     counter("csa.cache_misses"),
-    counter("csa.travel_memo_hits"),
-    counter("csa.travel_memo_misses"),
     timing_ns("csa.plan_ns"),
     counter("mc.sessions"),
     counter("mc.sessions_spoofed"),

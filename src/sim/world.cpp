@@ -455,7 +455,6 @@ void World::fire_mobility_epoch() {
   if (alive_count_ == 0) return;
   mobility_.advance_to(sim_.now(), network_);
   network_.rebuild_adjacency();
-  ++topology_version_;
   if (params_.coverage.k > 0) {
     coverage_.build(network_, alive_mask_, coverage_radius_);
   }

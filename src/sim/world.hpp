@@ -216,12 +216,6 @@ class World {
   std::size_t sink_connected_count() const;
   const WorldUpdateStats& update_stats() const { return update_stats_; }
 
-  /// Bumped on every adjacency change (mobility epochs); planners key
-  /// their node-pair distance memos on this so cached travel distances
-  /// never survive a position change.  Deaths don't move nodes and so
-  /// don't bump it.
-  std::uint64_t topology_version() const { return topology_version_; }
-
   /// Multiplier a planner applies to the node's charging utility under the
   /// k-coverage mode: 1 when disabled or the node has >= k alive coverers,
   /// ramping up to 1 + bonus for a completely uncovered node.  Identical
@@ -412,7 +406,6 @@ class World {
   std::vector<net::NodeId> dirty_ids_;
   MobilityModel mobility_;
   EventId mobility_event_ = kInvalidEvent;
-  std::uint64_t topology_version_ = 0;
   net::CoverageIndex coverage_;
   Meters coverage_radius_ = 0.0;
   WorldUpdateStats update_stats_;

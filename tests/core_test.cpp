@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "analysis/scenario.hpp"
@@ -210,6 +212,122 @@ TEST(TravelMatrix, SetRejectsWrongSize) {
   TideInstance other = simple_instance();
   EXPECT_THROW(inst.set_travel_matrix(TravelMatrix::build(other)),
                PreconditionError);
+}
+
+// Bitwise double equality (EXPECT_EQ on doubles would let -0.0 == 0.0 pass).
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Rows fill on demand, so a rebuild at the SAME size after the stops moved
+// must invalidate every row filled before it — otherwise a replan after a
+// mobility epoch would plan on the old positions.
+TEST(TravelMatrix, RebuildAfterStopsMoveLeavesNoStaleRow) {
+  Rng gen(5);
+  TideInstance inst = simple_instance();
+  inst.speed = 2.5;
+  for (int i = 0; i < 16; ++i) {
+    inst.stops.push_back(make_stop(
+        {gen.uniform(-100.0, 100.0), gen.uniform(-100.0, 100.0)}, 0.0, 1e6,
+        1.0, 1.0, false));
+  }
+  TravelMatrix m;
+  m.rebuild(inst);
+  for (std::size_t i = 0; i < inst.stops.size(); ++i) (void)m.row(i);
+  EXPECT_EQ(m.rows_filled(), inst.stops.size());
+
+  for (Stop& s : inst.stops) {
+    s.position += Vec2{gen.uniform(-30.0, 30.0), gen.uniform(-30.0, 30.0)};
+  }
+  inst.start_position = {7.0, -3.0};
+  inst.speed = 3.25;
+  m.rebuild(inst);
+  EXPECT_EQ(m.rows_filled(), 0u);
+  ASSERT_EQ(m.size(), inst.stops.size());
+  for (std::size_t i = 0; i < inst.stops.size(); ++i) {
+    EXPECT_EQ(bits(m.from_start(i)),
+              bits(inst.travel_time(inst.start_position,
+                                    inst.stops[i].position)));
+    for (std::size_t j = 0; j < inst.stops.size(); ++j) {
+      EXPECT_EQ(bits(m.between(i, j)),
+                bits(inst.travel_time(inst.stops[i].position,
+                                      inst.stops[j].position)))
+          << i << "," << j;
+    }
+  }
+}
+
+// between(i, j) == between(j, i) == travel_time bit-for-bit, whichever row
+// happens to be materialised first: each cell is computed from its own
+// row's endpoint order, so symmetry rests on hypot being sign-symmetric.
+TEST(TravelMatrix, SymmetricBitForBitInAnyRowTouchOrder) {
+  Rng gen(29);
+  TideInstance inst = simple_instance();
+  inst.speed = 3.7;
+  for (int i = 0; i < 24; ++i) {
+    inst.stops.push_back(make_stop(
+        {gen.uniform(-500.0, 500.0), gen.uniform(-500.0, 500.0)}, 0.0, 1e6,
+        1.0, 1.0, false));
+  }
+  const std::size_t n = inst.stops.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  TravelMatrix m;
+  for (int trial = 0; trial < 4; ++trial) {
+    gen.shuffle(order);
+    m.rebuild(inst);
+    for (const std::size_t i : order) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const double expect = inst.travel_time(inst.stops[i].position,
+                                               inst.stops[j].position);
+        EXPECT_EQ(bits(m.between(i, j)), bits(expect));
+        EXPECT_EQ(bits(m.between(j, i)), bits(expect));
+      }
+    }
+  }
+}
+
+// A plan materialises only the rows of stops that enter its route: every
+// leg an insertion scan reads sits next to a route stop, and is read from
+// that stop's row.  At 1600 stops that is a small fraction of the matrix.
+TEST(TravelMatrix, LargeCsaPlanFillsOnlyRouteRows) {
+  Rng gen(42);
+  TideInstance inst = simple_instance();
+  inst.speed = 3.0;
+  for (std::size_t i = 0; i < 1610; ++i) {
+    const bool key = i < 10;
+    Stop s = make_stop(
+        {gen.uniform(-200.0, 200.0), gen.uniform(-200.0, 200.0)}, 0.0, 0.0,
+        gen.uniform(600.0, 1'800.0), key ? 0.0 : gen.uniform(100.0, 8'000.0),
+        key);
+    s.window_open = gen.uniform(0.0, 20'000.0);
+    s.window_close = s.window_open + gen.uniform(3'600.0, 14'400.0);
+    inst.stops.push_back(s);
+  }
+  Rng rng(1);
+  const Plan plan = CsaPlanner().plan(inst, rng);
+  ASSERT_FALSE(plan.visits.empty());
+  const TravelMatrix& m = inst.travel_matrix();
+  const std::size_t filled = m.rows_filled();
+  EXPECT_GT(filled, 0u);
+  EXPECT_LE(filled, plan.visits.size());
+  EXPECT_LT(filled, inst.stops.size() / 4);
+
+  // Probing every off-route stop at every position of the planned route
+  // (the scans a fill or an auction runs) reads route rows only.
+  RouteState route(inst);
+  std::vector<bool> on_route(inst.stops.size(), false);
+  for (const Visit& v : plan.visits) {
+    route.insert(v.stop_index, route.order().size());
+    on_route[v.stop_index] = true;
+  }
+  EXPECT_EQ(m.rows_filled(), filled);
+  for (std::size_t stop = 0; stop < inst.stops.size(); ++stop) {
+    if (on_route[stop]) continue;
+    (void)route.best_insertion(stop);
+    for (std::size_t pos = 0; pos <= route.order().size(); ++pos) {
+      (void)route.try_insert(stop, pos);
+    }
+  }
+  EXPECT_EQ(m.rows_filled(), filled);
 }
 
 // Integer-exact slack behavior: a stop inserted in front of a long wait is

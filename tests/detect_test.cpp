@@ -685,7 +685,9 @@ TEST(AdaptiveDefender, ReducesDeathRateFalsePositivesOnBenignFaultMissions) {
     if (a_fired) ++adaptive_fp;
     // Subset guarantee from the static-threshold floor: the adaptive
     // monitor never fires on a mission the static one cleared.
-    if (a_fired) EXPECT_TRUE(s_fired) << "seed " << seed;
+    if (a_fired) {
+      EXPECT_TRUE(s_fired) << "seed " << seed;
+    }
   }
   // The PR 5 finding must reproduce: the fault mix makes the static
   // death-rate monitor a false-positive machine on honest missions...

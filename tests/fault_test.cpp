@@ -137,7 +137,9 @@ TEST(FaultPlan, ScheduleIsSortedAndInsideHorizon) {
   for (std::size_t i = 0; i < plan.events.size(); ++i) {
     EXPECT_GE(plan.events[i].time, 0.0);
     EXPECT_LT(plan.events[i].time, horizon);
-    if (i > 0) EXPECT_LE(plan.events[i - 1].time, plan.events[i].time);
+    if (i > 0) {
+      EXPECT_LE(plan.events[i - 1].time, plan.events[i].time);
+    }
   }
   for (std::size_t i = 0; i < plan.mc_outages.size(); ++i) {
     EXPECT_LT(plan.mc_outages[i].start, plan.mc_outages[i].end);
@@ -261,7 +263,9 @@ TEST(FaultScenario, BreakdownsWithRepairsKeepServiceRunning) {
   for (const auto& s : result.trace.sessions) {
     EXPECT_LE(s.start, s.end + 1e-9);
     const auto it = last_end.find(s.node);
-    if (it != last_end.end()) EXPECT_GE(s.start, it->second - 1e-6);
+    if (it != last_end.end()) {
+      EXPECT_GE(s.start, it->second - 1e-6);
+    }
     last_end[s.node] = std::max(last_end[s.node], s.end);
   }
 }

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <thread>
 #include <vector>
@@ -182,7 +183,7 @@ TEST(PlannerAllocation, FleetReplanIsAllocationFreeAfterWarmup) {
 
   const csa::CooperativeFleetPlanner planner;
   csa::FleetPlan plan;
-  planner.plan_into(inst, plan);  // warmup: arenas + pair distance memo
+  planner.plan_into(inst, plan);  // warmup sizes every arena
   const double warm_utility = plan.utility;
 
   g_allocations = 0;
@@ -192,6 +193,78 @@ TEST(PlannerAllocation, FleetReplanIsAllocationFreeAfterWarmup) {
 
   EXPECT_EQ(plan.utility, warm_utility);
   EXPECT_EQ(g_allocations, 0u);
+}
+
+// The replan loop as the attacker runs it — the instance's travel matrix
+// rebound in place on the agent's arena, then plan_into — over a stop set
+// that shrinks and grows back (requests served, then new ones raised).
+// Storage sized by the large warmup must serve the small pass and the
+// large pass again without a single allocation, on both planners.
+TEST(PlannerAllocation, ReplansStayAllocationFreeAcrossLargeSmallLarge) {
+  Rng gen(7);
+  std::vector<csa::Stop> pool;
+  for (std::size_t i = 0; i < 810; ++i) {
+    pool.push_back(random_stop(gen, i, i < 10));
+  }
+  const auto sized = [&](std::size_t n) {
+    return std::vector<csa::Stop>(pool.begin(),
+                                  pool.begin() + static_cast<long>(n));
+  };
+  const std::vector<csa::Stop> large = sized(810);
+  const std::vector<csa::Stop> small = sized(90);
+
+  csa::TideInstance inst;
+  inst.start_position = {0.0, 0.0};
+  inst.speed = 3.0;
+  const auto matrix = std::make_shared<csa::TravelMatrix>();
+  const csa::CsaPlanner planner;
+  Rng rng(1);
+  csa::Plan plan;
+  const auto replan = [&](const std::vector<csa::Stop>& stops) {
+    inst.stops.assign(stops.begin(), stops.end());
+    matrix->rebuild(inst);
+    inst.set_travel_matrix(std::shared_ptr<const csa::TravelMatrix>(matrix));
+    planner.plan_into(inst, rng, plan);
+    return plan.utility;
+  };
+
+  csa::FleetInstance fleet;
+  for (std::size_t m = 0; m < 3; ++m) {
+    csa::FleetCharger c;
+    c.start_position = {gen.uniform(-200.0, 200.0),
+                        gen.uniform(-200.0, 200.0)};
+    c.speed = 3.0;
+    fleet.chargers.push_back(c);
+  }
+  const csa::CooperativeFleetPlanner fleet_planner;
+  csa::FleetPlan fleet_plan;
+  const auto fleet_replan = [&](const std::vector<csa::Stop>& stops) {
+    fleet.stops.assign(stops.begin(), stops.end());
+    fleet_planner.plan_into(fleet, fleet_plan);
+    return fleet_plan.utility;
+  };
+
+  // Warmup: each size once, so the passes below are pure reuse.
+  const double large_utility = replan(large);
+  const double small_utility = replan(small);
+  const double large_fleet_utility = fleet_replan(large);
+  const double small_fleet_utility = fleet_replan(small);
+  replan(large);
+  fleet_replan(large);
+
+  g_allocations = 0;
+  g_counting = true;
+  const double u_small = replan(small);
+  const double u_large = replan(large);
+  const double f_small = fleet_replan(small);
+  const double f_large = fleet_replan(large);
+  g_counting = false;
+
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(u_small, small_utility);
+  EXPECT_EQ(u_large, large_utility);
+  EXPECT_EQ(f_small, small_fleet_utility);
+  EXPECT_EQ(f_large, large_fleet_utility);
 }
 
 TEST(WptAllocation, BatchKernelsDoNotAllocate) {

@@ -137,8 +137,11 @@ int main() {
         // fig5, per-node rates are NOT scaled down here).
         const double scale = 100.0 / double(trial.nodes);
         cfg.topology.comm_range = 65.0 * std::sqrt(scale);
-        return analysis::run_fleet_scenario(cfg, trial.fleet,
-                                            trial.attack ? 0 : SIZE_MAX);
+        cfg.fleet_size = trial.fleet;
+        cfg.fleet_compromised = 0;
+        return analysis::run_mission(cfg, trial.attack
+                                              ? analysis::ChargerMode::Attack
+                                              : analysis::ChargerMode::Benign);
       },
       {.label = "fig10"}, &stats);
 

@@ -64,9 +64,9 @@ int main() {
         net::TrafficLoads loads = net::compute_loads(network, tree);
 
         analysis::ScenarioResult benign =
-            analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
+            analysis::run_mission(cfg, analysis::ChargerMode::Benign);
         analysis::ScenarioResult attack =
-            analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+            analysis::run_mission(cfg, analysis::ChargerMode::Attack);
         return SeedData{std::move(network), std::move(loads),
                         std::move(benign), std::move(attack)};
       },

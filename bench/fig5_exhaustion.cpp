@@ -86,7 +86,7 @@ int main() {
       std::span<const Trial>(trials),
       [](const Trial& trial, Rng&) {
         const std::unique_ptr<csa::Planner> planner = make_planner(trial.planner);
-        return analysis::run_scenario(
+        return analysis::run_mission(
             sized_config(trial.n, static_cast<std::uint64_t>(trial.seed)),
             analysis::ChargerMode::Attack, planner.get());
       },
@@ -149,7 +149,7 @@ int main() {
             analysis::ScenarioConfig cfg =
                 sized_config(100, static_cast<std::uint64_t>(trial.seed));
             cfg.attack.key_selection.rule = trial.rule;
-            return analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+            return analysis::run_mission(cfg, analysis::ChargerMode::Attack);
           },
           {.label = "fig5b", .metrics = &metrics}, perf.phase("ablation"));
 

@@ -65,7 +65,7 @@ int main() {
         cfg.seed = static_cast<std::uint64_t>(trial.seed);
         cfg.hardened_detectors = trial.hardened;
         cfg.attack.spoof_mode = chargers[trial.charger].mode;
-        return analysis::run_scenario(cfg,
+        return analysis::run_mission(cfg,
                                       chargers[trial.charger].benign
                                           ? analysis::ChargerMode::Benign
                                           : analysis::ChargerMode::Attack);
@@ -131,8 +131,8 @@ int main() {
         analysis::ScenarioConfig cfg = analysis::default_scenario();
         cfg.seed = static_cast<std::uint64_t>(trial.seed);
         return TracePair{
-            analysis::run_scenario(cfg, analysis::ChargerMode::Benign),
-            analysis::run_scenario(cfg, analysis::ChargerMode::Attack)};
+            analysis::run_mission(cfg, analysis::ChargerMode::Benign),
+            analysis::run_mission(cfg, analysis::ChargerMode::Attack)};
       },
       {.label = "fig6b", .metrics = &metrics}, perf.phase("threshold-sweep"));
 

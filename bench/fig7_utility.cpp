@@ -53,7 +53,7 @@ int main() {
         analysis::ScenarioConfig cfg = analysis::default_scenario();
         cfg.seed = static_cast<std::uint64_t>(trial.seed);
         cfg.attack.key_selection.max_count = trial.keys;
-        return analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+        return analysis::run_mission(cfg, analysis::ChargerMode::Attack);
       },
       {.label = "fig7a"}, perf.phase("key-sweep"));
 
@@ -106,7 +106,7 @@ int main() {
             analysis::ScenarioConfig cfg = analysis::default_scenario();
             cfg.seed = static_cast<std::uint64_t>(trial.seed);
             cfg.world.patience *= trial.scale;
-            return analysis::run_scenario(cfg, analysis::ChargerMode::Attack,
+            return analysis::run_mission(cfg, analysis::ChargerMode::Attack,
                                           planner.get());
           },
           {.label = "fig7b"}, perf.phase("window-sweep"));

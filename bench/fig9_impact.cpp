@@ -70,7 +70,7 @@ int main() {
       [](const Trial& trial, Rng&) {
         analysis::ScenarioConfig cfg = analysis::default_scenario();
         cfg.seed = trial.seed;
-        return analysis::run_scenario(cfg, trial.attack
+        return analysis::run_mission(cfg, trial.attack
                                                ? analysis::ChargerMode::Attack
                                                : analysis::ChargerMode::Benign);
       },

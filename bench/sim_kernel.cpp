@@ -173,7 +173,7 @@ void BM_Fig5Trial(benchmark::State& state) {
   std::size_t alive = 0;
   for (auto _ : state) {
     const analysis::ScenarioResult result =
-        analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+        analysis::run_mission(cfg, analysis::ChargerMode::Attack);
     benchmark::DoNotOptimize(result.alive_at_end);
     alive = result.alive_at_end;
   }
@@ -211,7 +211,7 @@ void BM_FrontierTrial(benchmark::State& state) {
   std::size_t alive = 0;
   for (auto _ : state) {
     const analysis::ScenarioResult result =
-        analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+        analysis::run_mission(cfg, analysis::ChargerMode::Attack);
     benchmark::DoNotOptimize(result.alive_at_end);
     alive = result.alive_at_end;
   }
@@ -326,7 +326,7 @@ void BM_Fig5TrialObs(benchmark::State& state) {
     const auto t0 = std::chrono::steady_clock::now();
     {
       const analysis::ScenarioResult result =
-          analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+          analysis::run_mission(cfg, analysis::ChargerMode::Attack);
       benchmark::DoNotOptimize(result.alive_at_end);
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -334,7 +334,7 @@ void BM_Fig5TrialObs(benchmark::State& state) {
     {
       obs::ScopedRegistry scope(&registry);
       const analysis::ScenarioResult result =
-          analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+          analysis::run_mission(cfg, analysis::ChargerMode::Attack);
       benchmark::DoNotOptimize(result.alive_at_end);
     }
     const auto t2 = std::chrono::steady_clock::now();

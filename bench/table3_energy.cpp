@@ -37,7 +37,7 @@ int main() {
       [](const Trial& trial, Rng&) {
         analysis::ScenarioConfig cfg = analysis::default_scenario();
         cfg.seed = static_cast<std::uint64_t>(trial.seed);
-        return analysis::run_scenario(cfg, trial.mode == 0
+        return analysis::run_mission(cfg, trial.mode == 0
                                                ? analysis::ChargerMode::Benign
                                                : analysis::ChargerMode::Attack);
       },

@@ -8,6 +8,7 @@
 // walks to zero, and it dies while its neighbours measured a charger field
 // the whole time.  All deployed detectors stay silent.
 #include <iostream>
+#include <memory>
 
 #include "analysis/scenario.hpp"
 #include "analysis/table.hpp"
@@ -60,8 +61,12 @@ int main() {
   ap.pace_limit = 0;  // one target; pacing moot
 
   const csa::CsaPlanner planner;
-  csa::AttackAgent attacker(world, ap, planner, rng.fork("attack"));
-  attacker.start();
+  auto strategy = std::make_unique<csa::CsaStrategy>(world, ap, planner,
+                                                     rng.fork("attack"));
+  const csa::CsaStrategy& attacker = *strategy;
+  mc::Vehicle vehicle(world, ap.charger, ap.battery_reserve_fraction,
+                      ap.territory, std::move(strategy));
+  vehicle.start();
 
   const Seconds horizon = 36 * 3'600.0;
   sim.run_until(horizon);

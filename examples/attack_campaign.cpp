@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     analysis::ScenarioConfig config = analysis::default_scenario();
     config.seed = seed;
 
-    const analysis::ScenarioResult result = analysis::run_scenario(
+    const analysis::ScenarioResult result = analysis::run_mission(
         config, analysis::ChargerMode::Attack, strategy.planner);
     const csa::AttackReport& r = result.report;
 

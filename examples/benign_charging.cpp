@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     config.benign.policy = entry.policy;
 
     const analysis::ScenarioResult result =
-        analysis::run_scenario(config, analysis::ChargerMode::Benign);
+        analysis::run_mission(config, analysis::ChargerMode::Benign);
 
     std::size_t key_deaths = 0;
     for (const sim::DeathRecord& d : result.trace.deaths) {

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         config.seed = seed;
         config.hardened_detectors = trial.hardened;
         config.attack.spoof_mode = chargers[trial.charger].mode;
-        return analysis::run_scenario(config,
+        return analysis::run_mission(config,
                                       chargers[trial.charger].benign
                                           ? analysis::ChargerMode::Benign
                                           : analysis::ChargerMode::Attack);

@@ -42,8 +42,11 @@ int main(int argc, char** argv) {
   for (std::size_t bad = 0; bad <= kFleet; ++bad) {
     analysis::ScenarioConfig cfg = analysis::default_scenario();
     cfg.seed = seed;
-    const analysis::ScenarioResult result = analysis::run_fleet_scenario(
-        cfg, kFleet, bad < kFleet ? bad : SIZE_MAX);
+    cfg.fleet_size = kFleet;
+    cfg.fleet_compromised = bad;
+    const analysis::ScenarioResult result = analysis::run_mission(
+        cfg, bad < kFleet ? analysis::ChargerMode::Attack
+                          : analysis::ChargerMode::Benign);
     const csa::AttackReport& r = result.report;
     table.row({bad < kFleet ? member_label(bad) : "none (honest)",
                std::to_string(r.keys_dead) + "/" +
@@ -58,8 +61,10 @@ int main(int argc, char** argv) {
   // Show the containment: deaths per cell for the compromised-#0 run.
   analysis::ScenarioConfig cfg = analysis::default_scenario();
   cfg.seed = seed;
+  cfg.fleet_size = kFleet;
+  cfg.fleet_compromised = 0;
   const analysis::ScenarioResult result =
-      analysis::run_fleet_scenario(cfg, kFleet, 0);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
 
   Rng rng(cfg.seed);
   Rng topo_rng = rng.fork("topology");

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
             << " h under the CSA attacker (seed " << config.seed << ")...\n";
 
   const analysis::ScenarioResult result =
-      analysis::run_scenario(config, analysis::ChargerMode::Attack);
+      analysis::run_mission(config, analysis::ChargerMode::Attack);
   const csa::AttackReport& report = result.report;
 
   std::cout << "\nKey targets: " << report.keys_total

@@ -9,6 +9,7 @@
 // the full trace as CSV for external analysis.  --repro takes a failing
 // trial line printed by scenario_fuzzer and replays exactly that mission
 // (the line's `mode`/`seed` win over the matching flags).
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -320,43 +321,32 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Config-file / repro-line fleet keys take effect unless the matching
-    // flag was given, so `--repro 'fleet.size=3;...'` replays the fleet
-    // mission the fuzzer actually ran.
-    if (fleet == 1 && cfg.fleet_size > 1) fleet = cfg.fleet_size;
-    if (!compromised_set && cfg.fleet_compromised != SIZE_MAX) {
-      compromised = cfg.fleet_compromised;
-      compromised_set = true;
-    }
-    // The fuzzer clamps the compromised index into the fleet in attack
-    // mode; mirror that so a replay binds the attacker identically.
-    if (mode == "attack" && fleet > 1 && compromised_set &&
-        compromised >= fleet) {
-      compromised = fleet - 1;
+    // The flags override the config-file / repro-line fleet keys, so
+    // `--repro 'fleet.size=3;...'` replays the fleet mission the fuzzer
+    // actually ran; run_mission resolves the crew exactly as the fuzzer and
+    // the mission service do.
+    if (fleet > 1) cfg.fleet_size = fleet;
+    if (compromised_set) cfg.fleet_compromised = compromised;
+    if (mode != "benign" && mode != "attack") {
+      std::cerr << "unknown mode '" << mode << "'\n";
+      return 2;
     }
 
     obs::MetricRegistry metrics;
     analysis::ScenarioResult result;
     {
       // Collect metrics only when asked: the scoped install makes every
-      // instrumented layer under run_scenario write into `metrics`.
+      // instrumented layer under run_mission write into `metrics`.
       obs::ScopedRegistry obs_scope(metrics_path.empty() ? nullptr : &metrics);
-      if (fleet > 1 || compromised_set) {
-        if (mode == "benign") compromised = SIZE_MAX;
-        result = analysis::run_fleet_scenario(cfg, fleet, compromised);
-      } else if (mode == "benign") {
-        result = analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
-      } else if (mode == "attack") {
-        result = analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
-      } else {
-        std::cerr << "unknown mode '" << mode << "'\n";
-        return 2;
-      }
+      result = analysis::run_mission(cfg, mode == "attack"
+                                              ? analysis::ChargerMode::Attack
+                                              : analysis::ChargerMode::Benign);
     }
 
     const csa::AttackReport& r = result.report;
+    const std::size_t crew = std::max<std::size_t>(cfg.fleet_size, 1);
     analysis::Table table("Mission report (seed " + std::to_string(cfg.seed) +
-                          ", " + mode + ", fleet " + std::to_string(fleet) +
+                          ", " + mode + ", fleet " + std::to_string(crew) +
                           ")");
     table.headers({"metric", "value"});
     table.row({"nodes alive at end", std::to_string(result.alive_at_end) +

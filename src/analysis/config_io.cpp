@@ -428,7 +428,7 @@ ScenarioConfig apply_config(
   }
   // Fault parameters carry cross-field constraints (e.g. drop + delay
   // probabilities summing past 1), so the whole section validates at load
-  // time rather than at the first run_scenario call.  The topology class /
+  // time rather than at the first run_mission call.  The topology class /
   // corridor knobs and the mobility/coverage sections carry the same kind
   // of constraints (speed and pause ordering, positive ratios), so they
   // validate here too.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -14,41 +16,68 @@ namespace wrsn::analysis {
 namespace {
 
 /// Builds the fault injector for one mission (null when faults are off):
-/// compiles the schedule from its own fork of the scenario rng and wires
-/// the MC-level hooks to whichever agent drives the (possibly compromised)
-/// vehicle.  Fleet runs route MC faults to the compromised vehicle when
-/// present, else the first vehicle; `on_permanent_loss` (fleet runs only)
-/// is fired once after a permanent breakdown so survivors can adopt the
-/// victim's territory.
+/// compiles the schedule from its own fork of the scenario rng and routes
+/// the MC faults to `victim`.  Phase noise reaches `spoofer` (the victim's
+/// strategy when it is the attacker); an honest victim absorbs it.
+/// `on_permanent_loss` (fleets only) fires once after a permanent
+/// breakdown so survivors can adopt the victim's territory.
 std::unique_ptr<fault::FaultInjector> arm_faults(
     const ScenarioConfig& config, sim::World& world, const Rng& rng,
-    mc::ChargerAgent* benign, csa::AttackAgent* attacker,
-    std::function<void()> on_permanent_loss = nullptr) {
+    mc::Vehicle& victim, csa::CsaStrategy* spoofer,
+    std::function<void()> on_permanent_loss) {
   if (!config.faults.any()) return nullptr;
   fault::FaultPlan plan =
       fault::FaultPlan::compile(config.faults, config.horizon,
                                 world.network().size(), rng.fork("faults"));
   fault::FaultHooks hooks;
   hooks.mc_permanent_loss = std::move(on_permanent_loss);
-  if (attacker != nullptr) {
-    hooks.mc_breakdown = [attacker](double loss, bool permanent) {
-      attacker->fault_breakdown(loss, permanent);
+  hooks.mc_breakdown = [&victim](double loss, bool permanent) {
+    victim.fault_breakdown(loss, permanent);
+  };
+  hooks.mc_repair = [&victim] { victim.fault_repair(); };
+  if (spoofer != nullptr) {
+    hooks.phase_noise = [spoofer](double scale) {
+      spoofer->fault_phase_noise(scale);
     };
-    hooks.mc_repair = [attacker] { attacker->fault_repair(); };
-    hooks.phase_noise = [attacker](double scale) {
-      attacker->fault_phase_noise(scale);
-    };
-  } else if (benign != nullptr) {
-    hooks.mc_breakdown = [benign](double loss, bool permanent) {
-      benign->fault_breakdown(loss, permanent);
-    };
-    hooks.mc_repair = [benign] { benign->fault_repair(); };
-    // Phase noise degrades the spoofing payload; a benign fleet absorbs it.
   }
   auto injector = std::make_unique<fault::FaultInjector>(
       world, std::move(plan), std::move(hooks), rng.fork("fault-exec"));
   injector->arm();
   return injector;
+}
+
+/// Fleet handoff after `victim` is lost for good.  Its whole Voronoi cell —
+/// deliberately not filtered by the alive mask, so the adopted set never
+/// depends on sub-tolerance death-timing differences between world update
+/// modes; dead nodes are inert in a territory set — goes node by node to
+/// the survivor with the nearest depot (mc::nearest_depot's rule).
+std::function<void()> make_handoff(
+    const sim::World& world,
+    const std::vector<std::unique_ptr<mc::Vehicle>>& crew,
+    const std::vector<geom::Vec2>& depots, std::vector<net::NodeId> lost_cell,
+    std::size_t victim) {
+  std::vector<geom::Vec2> survivor_depots;
+  std::vector<mc::Vehicle*> survivors;
+  for (std::size_t k = 0; k < crew.size(); ++k) {
+    if (k == victim) continue;
+    survivor_depots.push_back(depots[k]);
+    survivors.push_back(crew[k].get());
+  }
+  return [&world, lost_cell = std::move(lost_cell),
+          survivor_depots = std::move(survivor_depots),
+          survivors = std::move(survivors)] {
+    std::vector<std::vector<net::NodeId>> adopted(survivors.size());
+    for (const net::NodeId id : lost_cell) {
+      adopted[mc::nearest_depot(world.network().node(id).position,
+                                survivor_depots)]
+          .push_back(id);
+    }
+    for (std::size_t s = 0; s < survivors.size(); ++s) {
+      if (!adopted[s].empty()) survivors[s]->adopt_territory(adopted[s]);
+    }
+    WRSN_OBS_COUNT(kFleetHandoffs);
+    WRSN_OBS_ADD(kFleetHandoffNodes, double(lost_cell.size()));
+  };
 }
 
 void finish_result(ScenarioResult& result, sim::World& world,
@@ -178,11 +207,25 @@ DetectorSetup make_detector_setup(const ScenarioConfig& config,
   return setup;
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& config, ChargerMode mode,
-                            const csa::Planner* planner) {
+ScenarioResult run_mission(const ScenarioConfig& config, ChargerMode mode,
+                           const csa::Planner* planner) {
+  const std::size_t crew_size = std::max<std::size_t>(config.fleet_size, 1);
+  const bool fleet = crew_size > 1;
+  const std::size_t compromised =
+      mode == ChargerMode::Attack
+          ? std::min(config.fleet_compromised, crew_size - 1)
+          : SIZE_MAX;
+
   Rng rng(config.seed);
   Rng topo_rng = rng.fork("topology");
   net::Network network = net::generate_topology(config.topology, topo_rng);
+
+  std::vector<geom::Vec2> depots;
+  std::vector<std::vector<net::NodeId>> cells;
+  if (fleet) {
+    depots = mc::default_depots(config.topology.region, crew_size);
+    cells = mc::partition_by_depot(network, depots);
+  }
 
   sim::Simulator simulator;
   sim::World world(simulator, std::move(network), config.world,
@@ -191,147 +234,47 @@ ScenarioResult run_scenario(const ScenarioConfig& config, ChargerMode mode,
   ScenarioResult result;
   result.node_count = world.network().size();
 
-  std::unique_ptr<mc::ChargerAgent> benign;
-  std::unique_ptr<csa::AttackAgent> attacker;
+  // Vehicles start (and so subscribe to the world) in fleet-index order.
   const csa::CsaPlanner default_planner;
-
-  if (mode == ChargerMode::Benign) {
-    // Keys are still identified (same rule as the attacker would use) so
-    // benign runs report comparable key-node survival numbers.
-    result.keys = net::select_key_nodes(world.network(), world.loads(),
-                                        config.attack.key_selection);
-    benign = std::make_unique<mc::ChargerAgent>(world, config.benign);
-    benign->start();
-  } else {
-    attacker = std::make_unique<csa::AttackAgent>(
-        world, config.attack, planner != nullptr ? *planner : default_planner,
-        rng.fork("attack"), config.policy.attacker);
-    attacker->start();
-    result.keys = attacker->key_targets();
-  }
-
-  const std::unique_ptr<fault::FaultInjector> injector =
-      arm_faults(config, world, rng, benign.get(), attacker.get());
-
-  simulator.run_until(config.horizon);
-
-  const DetectorSetup detectors = make_detector_setup(config, world);
-  result.detections = detectors.suite.run(world.trace(), detectors.context);
-  result.report = csa::build_report(world.network(), world.trace(),
-                                    result.keys, result.detections);
-  finish_result(result, world, simulator, injector.get());
-  if (mode == ChargerMode::Benign) {
-    result.ledger = benign->charger().ledger();
-  } else {
-    result.ledger = attacker->charger().ledger();
-    result.plans_computed = attacker->plans_computed();
-  }
-  result.fleet_ledger = result.ledger;
-  result.trace = std::move(world.trace());
-  return result;
-}
-
-ScenarioResult run_fleet_scenario(const ScenarioConfig& config,
-                                  std::size_t fleet_size,
-                                  std::size_t compromised,
-                                  const csa::Planner* planner) {
-  WRSN_REQUIRE(fleet_size > 0, "fleet must have at least one charger");
-  Rng rng(config.seed);
-  Rng topo_rng = rng.fork("topology");
-  net::Network network = net::generate_topology(config.topology, topo_rng);
-
-  const std::vector<geom::Vec2> depots =
-      mc::default_depots(config.topology.region, fleet_size);
-  const std::vector<std::vector<net::NodeId>> cells =
-      mc::partition_by_depot(network, depots);
-
-  sim::Simulator simulator;
-  sim::World world(simulator, std::move(network), config.world,
-                   rng.fork("world"));
-
-  ScenarioResult result;
-  result.node_count = world.network().size();
-
-  std::vector<std::unique_ptr<mc::ChargerAgent>> benign_agents;
-  /// Benign agents by FLEET index (null at `compromised`), for the handoff.
-  std::vector<mc::ChargerAgent*> benign_by_index(fleet_size, nullptr);
-  std::unique_ptr<csa::AttackAgent> attacker;
-  const csa::CsaPlanner default_planner;
-
-  for (std::size_t k = 0; k < fleet_size; ++k) {
+  std::vector<std::unique_ptr<mc::Vehicle>> crew;
+  csa::CsaStrategy* attacker = nullptr;
+  for (std::size_t k = 0; k < crew_size; ++k) {
     if (k == compromised) {
       csa::AttackParams params = config.attack;
-      params.charger.depot = depots[k];
-      params.territory = cells[k];
-      attacker = std::make_unique<csa::AttackAgent>(
+      if (fleet) {
+        params.charger.depot = depots[k];
+        params.territory = cells[k];
+      }
+      auto strategy = std::make_unique<csa::CsaStrategy>(
           world, params, planner != nullptr ? *planner : default_planner,
-          rng.fork("attack-" + std::to_string(k)), config.policy.attacker);
-      attacker->start();
+          rng.fork(fleet ? "attack-" + std::to_string(k) : "attack"),
+          config.policy.attacker);
+      attacker = strategy.get();
+      crew.push_back(std::make_unique<mc::Vehicle>(
+          world, params.charger, params.battery_reserve_fraction,
+          params.territory, std::move(strategy)));
     } else {
       mc::AgentParams params = config.benign;
-      params.charger.depot = depots[k];
-      params.territory = cells[k];
-      benign_agents.push_back(
-          std::make_unique<mc::ChargerAgent>(world, params));
-      benign_by_index[k] = benign_agents.back().get();
-      benign_agents.back()->start();
-    }
-  }
-
-  if (attacker != nullptr) {
-    result.keys = attacker->key_targets();
-  } else {
-    result.keys = net::select_key_nodes(world.network(), world.loads(),
-                                        config.attack.key_selection);
-  }
-
-  // Charger handoff: MC faults hit the compromised vehicle when present,
-  // else fleet member 0 (mirroring arm_faults's hook routing).  On a
-  // PERMANENT loss the victim's whole Voronoi cell — deliberately not
-  // filtered by the alive mask, so the adopted set never depends on
-  // sub-tolerance death-timing differences between world update modes; dead
-  // nodes are inert in a territory set — is redistributed to the survivors
-  // with the nearest depots (squared distance, ties to the lower fleet
-  // index, exactly mc::nearest_depot's rule) and each survivor replans.
-  std::function<void()> on_permanent_loss;
-  if (fleet_size > 1) {
-    const std::size_t victim = compromised < fleet_size ? compromised : 0;
-    std::vector<geom::Vec2> survivor_depots;
-    std::vector<std::size_t> survivor_ids;
-    for (std::size_t k = 0; k < fleet_size; ++k) {
-      if (k == victim) continue;
-      survivor_depots.push_back(depots[k]);
-      survivor_ids.push_back(k);
-    }
-    on_permanent_loss = [&world, victim, compromised,
-                         survivor_depots = std::move(survivor_depots),
-                         survivor_ids = std::move(survivor_ids),
-                         lost_cell = cells[victim], benign_by_index,
-                         attacker_ptr = attacker.get()] {
-      std::vector<std::vector<net::NodeId>> adopted(survivor_ids.size());
-      for (const net::NodeId id : lost_cell) {
-        adopted[mc::nearest_depot(world.network().node(id).position,
-                                  survivor_depots)]
-            .push_back(id);
+      if (fleet) {
+        params.charger.depot = depots[k];
+        params.territory = cells[k];
       }
-      for (std::size_t s = 0; s < survivor_ids.size(); ++s) {
-        if (adopted[s].empty()) continue;
-        const std::size_t k = survivor_ids[s];
-        if (k == compromised) {
-          attacker_ptr->adopt_territory(adopted[s]);
-        } else {
-          benign_by_index[k]->adopt_territory(adopted[s]);
-        }
-      }
-      WRSN_OBS_COUNT(kFleetHandoffs);
-      WRSN_OBS_ADD(kFleetHandoffNodes, double(lost_cell.size()));
-    };
+      crew.push_back(std::make_unique<mc::Vehicle>(world, params));
+    }
+    crew.back()->start();
   }
+  // Benign runs still identify keys (the attacker's rule) so they report
+  // comparable key-node survival numbers.
+  result.keys = attacker != nullptr
+                    ? attacker->key_targets()
+                    : net::select_key_nodes(world.network(), world.loads(),
+                                            config.attack.key_selection);
 
+  const std::size_t victim = compromised < crew_size ? compromised : 0;
   const std::unique_ptr<fault::FaultInjector> injector = arm_faults(
-      config, world, rng,
-      benign_agents.empty() ? nullptr : benign_agents.front().get(),
-      attacker.get(), std::move(on_permanent_loss));
+      config, world, rng, *crew[victim], attacker,
+      fleet ? make_handoff(world, crew, depots, cells[victim], victim)
+            : nullptr);
 
   simulator.run_until(config.horizon);
 
@@ -340,33 +283,22 @@ ScenarioResult run_fleet_scenario(const ScenarioConfig& config,
   result.report = csa::build_report(world.network(), world.trace(),
                                     result.keys, result.detections);
   finish_result(result, world, simulator, injector.get());
-  if (attacker != nullptr) {
-    result.ledger = attacker->charger().ledger();
-    result.plans_computed = attacker->plans_computed();
-  } else if (!benign_agents.empty()) {
-    result.ledger = benign_agents.front()->charger().ledger();
-  }
-  const auto fold_ledger = [&result](const mc::EnergyLedger& l) {
+  result.ledger = crew[victim]->charger().ledger();
+  if (attacker != nullptr) result.plans_computed = attacker->plans_computed();
+  // Honest members in fleet-index order, then the attacker.
+  const auto fold_ledger = [&result](const mc::Vehicle& vehicle) {
+    const mc::EnergyLedger& l = vehicle.charger().ledger();
     result.fleet_ledger.travel += l.travel;
     result.fleet_ledger.radiated_genuine += l.radiated_genuine;
     result.fleet_ledger.radiated_spoofed += l.radiated_spoofed;
     result.fleet_ledger.drawn_for_radiation += l.drawn_for_radiation;
   };
-  for (const auto& agent : benign_agents) fold_ledger(agent->charger().ledger());
-  if (attacker != nullptr) fold_ledger(attacker->charger().ledger());
+  for (std::size_t k = 0; k < crew_size; ++k) {
+    if (k != compromised) fold_ledger(*crew[k]);
+  }
+  if (attacker != nullptr) fold_ledger(*crew[compromised]);
   result.trace = std::move(world.trace());
   return result;
-}
-
-ScenarioResult run_mission(const ScenarioConfig& config, ChargerMode mode,
-                           const csa::Planner* planner) {
-  const std::size_t fleet = config.fleet_size;
-  if (fleet <= 1) return run_scenario(config, mode, planner);
-  const std::size_t compromised =
-      mode == ChargerMode::Attack
-          ? std::min(config.fleet_compromised, fleet - 1)
-          : SIZE_MAX;
-  return run_fleet_scenario(config, fleet, compromised, planner);
 }
 
 }  // namespace wrsn::analysis

@@ -12,7 +12,7 @@
 #include "core/report.hpp"
 #include "detect/detectors.hpp"
 #include "fault/fault.hpp"
-#include "mc/agent.hpp"
+#include "mc/vehicle.hpp"
 #include "net/topology.hpp"
 #include "policy/policy.hpp"
 #include "sim/world.hpp"
@@ -37,8 +37,7 @@ struct ScenarioConfig {
   /// so it is identical across world update modes and planner choices.
   fault::FaultParams faults;
   /// Fleet size ([fleet] INI section).  1 = the classic single-charger
-  /// mission; > 1 routes runners (the fuzzer included) through
-  /// run_fleet_scenario.
+  /// mission; > 1 = that many vehicles, one Voronoi cell each (run_mission).
   std::size_t fleet_size = 1;
   /// Fleet member running the CSA attack in Attack mode; SIZE_MAX (or any
   /// value >= fleet_size) = wholly honest fleet.
@@ -82,9 +81,8 @@ struct ScenarioResult {
 ScenarioConfig default_scenario();
 
 /// The calibrated detector suite and its evaluation context for one
-/// scenario.  Single source of truth shared by the single-charger and fleet
-/// paths (they used to carry hand-duplicated copies of this block, which
-/// could silently drift apart).
+/// scenario: the single source of truth run_mission and the standalone
+/// detector stages share.
 struct DetectorSetup {
   detect::SuiteCalibration calibration;
   detect::DetectorSuite suite;
@@ -96,33 +94,23 @@ struct DetectorSetup {
 DetectorSetup make_detector_setup(const ScenarioConfig& config,
                                   const sim::World& world);
 
-/// Runs one mission.  In Attack mode, `planner` selects the attacker's
-/// route strategy (defaults to CsaPlanner when null).
-ScenarioResult run_scenario(const ScenarioConfig& config, ChargerMode mode,
-                            const csa::Planner* planner = nullptr);
-
-/// Runs a multi-charger mission: `fleet_size` vehicles at the default depot
-/// sites, each serving its Voronoi cell.  If `compromised < fleet_size`,
-/// that member runs the CSA attack inside its own cell (route strategy from
-/// `planner`, CsaPlanner when null); otherwise the whole fleet is honest.
-/// The result's ledger/keys describe the compromised vehicle when present
-/// (first vehicle otherwise).  When the fault layer permanently kills the
-/// faulted vehicle, its Voronoi cell is handed off: every node of the cell
-/// is adopted by the survivor with the nearest depot (squared distance,
-/// ties to the lower fleet index) and survivors replan.
-ScenarioResult run_fleet_scenario(const ScenarioConfig& config,
-                                  std::size_t fleet_size,
-                                  std::size_t compromised = SIZE_MAX,
-                                  const csa::Planner* planner = nullptr);
-
-/// Runs one mission exactly the way every front end (fuzzer, CLI replay,
-/// mission service) does: `config.fleet_size > 1` routes through
-/// run_fleet_scenario, and in Attack mode the compromised index is clamped
-/// into the fleet so a stale `fleet.compromised` override can never silently
-/// demote the mission to an honest one.  Benign fleets are wholly honest.
-/// This is the ONE resolution point for fleet/compromised semantics — the
-/// service's bit-identical-to-standalone guarantee rests on all paths
-/// funnelling through it.
+/// Runs one mission — the only mission entry; every bench, example and
+/// front end (fuzzer, CLI, mission service) funnels through it.
+///
+/// It builds a crew of `max(config.fleet_size, 1)` vehicles:
+/// - a crew of 1 drives from the configured depot and serves the whole
+///   network; its attacker draws from rng.fork("attack");
+/// - a larger crew drives from mc::default_depots, each vehicle serving
+///   its Voronoi cell; member k's attacker draws from rng.fork("attack-k").
+/// In Attack mode member `min(config.fleet_compromised, crew - 1)` runs the
+/// CSA strategy (route planner `planner`, CsaPlanner when null) — clamped,
+/// so a stale `fleet.compromised` can never demote an attack mission to an
+/// honest one; Benign crews are wholly honest.  MC faults hit the attacker,
+/// else member 0.  When a fleet member is lost for good, its whole cell is
+/// handed to the survivor with the nearest depot (squared distance, ties to
+/// the lower index) node by node, and the survivors replan.  The result's
+/// ledger, keys and plan count describe the attacker (member 0 when
+/// honest); `fleet_ledger` sums every vehicle.
 ScenarioResult run_mission(const ScenarioConfig& config, ChargerMode mode,
                            const csa::Planner* planner = nullptr);
 

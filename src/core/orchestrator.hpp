@@ -1,26 +1,26 @@
 // The CSA attack orchestrator: a compromised charging service.
 //
-// Outwardly it behaves exactly like the benign ChargerAgent — it answers
-// charging requests, drives the same vehicle, radiates the same power, and
-// keeps the same depot ledger.  Inwardly it runs receding-horizon TIDE
-// planning: at every decision point it snapshots the pending requests plus
-// the *predicted* upcoming requests of its key-node targets (the charging
-// service can predict request times from drain rates and request history),
-// plans a route with the injected Planner, and executes the first leg.  Key
-// targets are "served" with the dual-antenna phase-cancellation payload:
-// full radiated power, zero harvested energy.
+// CsaStrategy is the mc::Vehicle strategy of the attacker.  The vehicle is
+// the one the honest service drives, so the attacker answers charging
+// requests, radiates the same power and keeps the same depot ledger by
+// construction.  Inwardly it runs receding-horizon TIDE planning: at every
+// decision point it snapshots the pending requests plus the *predicted*
+// upcoming requests of its key-node targets (the charging service can
+// predict request times from drain rates and request history), plans a
+// route with the injected Planner, and executes the first leg.  Key targets
+// are "served" with the dual-antenna phase-cancellation payload: full
+// radiated power, zero harvested energy.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/planners.hpp"
-#include "mc/charger.hpp"
+#include "mc/vehicle.hpp"
 #include "policy/policy.hpp"
 #include "sim/world.hpp"
 #include "wpt/spoofing.hpp"
@@ -90,66 +90,51 @@ struct AttackParams {
   void validate() const;
 };
 
-/// The attack agent; bind one to a world instead of a benign ChargerAgent.
-class AttackAgent {
+/// The attacker's half of a vehicle: key selection, kill pacing, replanning
+/// and the spoofed or genuine session set-up.  Drive it with
+/// `mc::Vehicle(world, params.charger, params.battery_reserve_fraction,
+/// params.territory, std::move(strategy))`.
+///
+/// Adopted territory (fleet handoff) is serviced GENUINELY: key-target
+/// selection happens once at start and is not widened, so a compromised
+/// fleet member plays the dutiful survivor.
+class CsaStrategy final : public mc::Strategy {
  public:
   /// `policy` selects the spoof-scheduling policy (DESIGN.md §15); the
   /// default Static kind reproduces the fixed pacing arithmetic bit-for-bit
   /// and consumes no randomness.  Bandit kinds draw from rng.fork("policy"),
   /// a stream no other consumer touches.
-  AttackAgent(sim::World& world, const AttackParams& params,
+  CsaStrategy(sim::World& world, const AttackParams& params,
               const Planner& planner, Rng rng,
               const policy::AttackPolicyParams& policy = {});
 
-  AttackAgent(const AttackAgent&) = delete;
-  AttackAgent& operator=(const AttackAgent&) = delete;
-
-  /// Flushes the agent's accumulated tallies (replans, session counts) to
-  /// the installed obs registry in one shot — the per-replan and
-  /// per-session paths are too hot for a write each.
-  ~AttackAgent();
-
-  /// Selects key targets from the current routing state, subscribes to world
-  /// events, and begins operating.  Call exactly once before running.
-  void start();
+  /// Flushes the replan tally to the installed obs registry in one shot —
+  /// the per-replan path is too hot for a write each.
+  ~CsaStrategy() override;
 
   const std::vector<net::NodeId>& key_targets() const { return key_targets_; }
-  const mc::MobileCharger& charger() const { return mc_; }
-  std::uint64_t genuine_sessions() const { return genuine_sessions_; }
-  std::uint64_t spoofed_sessions() const { return spoofed_sessions_; }
   std::uint64_t plans_computed() const { return plans_computed_; }
 
-  // --- fault-injection hooks -------------------------------------------------
-  /// MC component fault: halts on the spot, truncates any active session,
-  /// drains `budget_loss` of the battery capacity, and stops planning until
-  /// repaired.  `permanent` means no repair will follow.  Idempotent while
-  /// already broken.
-  void fault_breakdown(double budget_loss, bool permanent);
-  /// Repair complete: resumes the campaign from the breakdown position.
-  /// No-op when not broken or when the breakdown was permanent.
-  void fault_repair();
-  bool broken() const { return broken_; }
-  /// Phase-calibration degradation: sets the spoofing emitter's phase
-  /// jitter to `scale` times the configured baseline (1.0 restores it).
-  /// Takes effect from the next spoofed session.
+  /// Phase-calibration degradation (fault hook): sets the spoofing
+  /// emitter's phase jitter to `scale` times the configured baseline (1.0
+  /// restores it).  Takes effect from the next spoofed session.
   void fault_phase_noise(double scale);
 
-  /// Fleet handoff: permanently adds `nodes` to this vehicle's territory
-  /// (e.g. the cell of a permanently lost fleet member) and replans if
-  /// idle.  Adopted nodes are serviced GENUINELY — key-target selection
-  /// happened at start() and is not widened, so the compromised member
-  /// plays the dutiful survivor.  No-op on a whole-network agent.
-  void adopt_territory(std::span<const net::NodeId> nodes);
+  // --- mc::Strategy ----------------------------------------------------------
+  /// Selects the key targets from the current routing state (the
+  /// attacker's reconnaissance), restricted to the vehicle's territory.
+  void on_start(mc::Vehicle& vehicle) override;
+  /// Replans and engages the first leg of the plan.
+  void plan(mc::Vehicle& vehicle) override;
+  /// Deaths it did not schedule join the pacing window.
+  void observe_death(net::NodeId id) override;
+  bool needs_pending_request() const override { return true; }
+  mc::Session begin_session(mc::Vehicle& vehicle, net::NodeId id,
+                            Joules deficit) override;
 
  private:
-  enum class State { Idle, Traveling, Charging, ToDepot, DepotCharging,
-                     Broken };
-
   bool is_key(net::NodeId id) const {
     return key_set_.find(id) != key_set_.end();
-  }
-  bool in_territory(net::NodeId id) const {
-    return territory_.empty() || territory_.count(id) > 0;
   }
 
   /// Deaths (scheduled kills + observed background deaths) in the worst
@@ -159,36 +144,28 @@ class AttackAgent {
   /// Consults the spoof-scheduling policy: spoofed right now vs. served
   /// genuinely for cover, and the PartialCancel leak ratio to use.
   policy::SpoofDecision spoof_decision(net::NodeId id);
-
-  void on_request(net::NodeId id);
-  void on_death(net::NodeId id);
+  /// The spoofed session at `id`, mimicking a nominal-rate service.
+  mc::Session spoofed_session(const mc::Vehicle& vehicle, net::NodeId id,
+                              Joules deficit,
+                              const policy::SpoofDecision& decision);
 
   /// Builds the TIDE snapshot (pending requests + predicted key windows)
   /// into `instance`, reusing its stop storage.
-  void build_instance(TideInstance& instance) const;
-  /// Installs the instance's travel matrix: the agent-owned matrix arena,
-  /// rebound in place (rows fill on demand as the planner reads them).
+  void build_instance(const mc::Vehicle& vehicle,
+                      TideInstance& instance) const;
+  /// Installs the instance's travel matrix: the strategy-owned matrix
+  /// arena, rebound in place (rows fill on demand as the planner reads).
   void prime_travel_matrix(TideInstance& instance) const;
-  /// Replans and engages the next leg (idle vehicles only).
-  void replan();
-  void travel_to_node(net::NodeId id);
-  void go_to_depot();
-  void on_arrival(std::uint64_t version);
-  void on_wake(std::uint64_t version);
-  void start_session(net::NodeId id);
-  void end_session(std::uint64_t version);
 
   sim::World& world_;
   AttackParams params_;
   const Planner& planner_;
   Rng rng_;
-  mc::MobileCharger mc_;
   std::optional<wpt::SpoofingEmitter> emitter_;
   std::unique_ptr<policy::AttackPolicy> policy_;
 
   std::vector<net::NodeId> key_targets_;
   std::unordered_set<net::NodeId> key_set_;
-  std::unordered_set<net::NodeId> territory_;
   /// Predicted death times of keys already spoofed plus observed deaths of
   /// other nodes (kill pacing state).
   std::vector<Seconds> kill_schedule_;
@@ -201,32 +178,7 @@ class AttackAgent {
   mutable std::shared_ptr<TravelMatrix> travel_matrix_;
   Plan plan_;
 
-  State state_ = State::Idle;
-  bool started_ = false;
-  bool broken_ = false;
-  bool permanently_broken_ = false;
-  net::NodeId target_ = net::kInvalidNode;
-  std::uint64_t event_version_ = 0;
-
-  // Active-session bookkeeping.
-  bool session_spoofed_ = false;
-  Watts session_radiated_power_ = 0.0;
-  Seconds session_start_ = 0.0;
-  Seconds session_genuine_duration_ = 0.0;
-  Watts session_dc_ = 0.0;
-  Watts session_rf_observed_ = 0.0;
-  Watts session_probe_rf_ = 0.0;
-  Meters session_probe_distance_ = 0.0;
-
-  std::uint64_t genuine_sessions_ = 0;
-  std::uint64_t spoofed_sessions_ = 0;
   std::uint64_t plans_computed_ = 0;
-
-  // Observability tallies, flushed by the destructor.  The session pair
-  // counts completed sessions (the *_sessions_ counters above tick at
-  // session start, so an in-flight session at the horizon would skew them).
-  std::uint64_t sessions_ended_ = 0;
-  std::uint64_t spoofed_sessions_ended_ = 0;
 };
 
 }  // namespace wrsn::csa

@@ -43,7 +43,7 @@ namespace wrsn::csa {
 /// arenas (CsaPlanner reuses its route state and candidate table across
 /// calls), so one planner instance must only ever be used by one thread at
 /// a time.  Code that fans work out across runner threads constructs a
-/// planner per trial instead of sharing one instance — run_scenario already
+/// planner per trial instead of sharing one instance — run_mission already
 /// does this for its default planner.
 class Planner {
  public:

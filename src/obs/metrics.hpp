@@ -63,7 +63,7 @@ enum class Metric : std::uint16_t {
   kCsaCacheHits,
   kCsaCacheMisses,
   kCsaPlanNs,  ///< timing histogram: one CSA plan() call
-  // Mobile charger energy ledger (src/mc/charger.cpp, orchestrator/agent).
+  // Mobile charger energy ledger (src/mc/charger.cpp, src/mc/vehicle.cpp).
   kMcSessions,
   kMcSessionsSpoofed,
   kMcTravelJ,

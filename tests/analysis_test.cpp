@@ -221,36 +221,43 @@ TEST(Scenario, RunsAreDeterministicPerSeed) {
   cfg.horizon = 1.5 * 86'400.0;
   cfg.attack.campaign_deadline = cfg.horizon;
   cfg.seed = 77;
-  const ScenarioResult a = run_scenario(cfg, ChargerMode::Attack);
-  const ScenarioResult b = run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult a = run_mission(cfg, ChargerMode::Attack);
+  const ScenarioResult b = run_mission(cfg, ChargerMode::Attack);
   EXPECT_EQ(a.report.keys_dead, b.report.keys_dead);
   EXPECT_EQ(a.trace.sessions.size(), b.trace.sessions.size());
   EXPECT_EQ(a.trace.deaths.size(), b.trace.deaths.size());
   EXPECT_EQ(a.report.detected, b.report.detected);
 }
 
-TEST(Scenario, RunMissionMatchesRunScenarioForSingleCharger) {
+TEST(Scenario, RunMissionClampsTheCompromisedMember) {
   // run_mission is the one resolution point every front end (fuzzer, CLI,
-  // mission service) funnels through; for fleet_size <= 1 it must be the
-  // identity wrapper around run_scenario, digest-for-digest.
+  // mission service) funnels through.  The compromised index is clamped
+  // into the crew, so a stale override can never demote an attack mission
+  // or move a single charger onto the fleet depots.
   ScenarioConfig cfg = default_scenario();
   cfg.topology.node_count = 40;
   cfg.topology.region = {{0.0, 0.0}, {220.0, 220.0}};
   cfg.horizon = 1.5 * 86'400.0;
   cfg.attack.campaign_deadline = cfg.horizon;
   cfg.seed = 77;
-  const ScenarioResult direct = run_scenario(cfg, ChargerMode::Attack);
-  const ScenarioResult routed = run_mission(cfg, ChargerMode::Attack);
-  EXPECT_EQ(digest_result(direct), digest_result(routed));
+  const std::uint64_t solo =
+      digest_result(run_mission(cfg, ChargerMode::Attack));
+  cfg.fleet_compromised = 0;
+  EXPECT_EQ(digest_result(run_mission(cfg, ChargerMode::Attack)), solo);
 
-  // Fleet missions route through run_fleet_scenario with the compromised
-  // index clamped into the fleet (attack missions stay attack missions).
   cfg.fleet_size = 2;
+  cfg.fleet_compromised = 1;
+  const std::uint64_t last =
+      digest_result(run_mission(cfg, ChargerMode::Attack));
+  EXPECT_NE(last, solo);
   cfg.fleet_compromised = 7;  // stale override, clamped to < fleet_size
-  const ScenarioResult fleet_direct =
-      run_fleet_scenario(cfg, 2, /*compromised=*/1);
-  const ScenarioResult fleet_routed = run_mission(cfg, ChargerMode::Attack);
-  EXPECT_EQ(digest_result(fleet_direct), digest_result(fleet_routed));
+  EXPECT_EQ(digest_result(run_mission(cfg, ChargerMode::Attack)), last);
+
+  // Benign fleets are wholly honest whatever the override says.
+  const std::uint64_t honest =
+      digest_result(run_mission(cfg, ChargerMode::Benign));
+  cfg.fleet_compromised = SIZE_MAX;
+  EXPECT_EQ(digest_result(run_mission(cfg, ChargerMode::Benign)), honest);
 }
 
 TEST(Scenario, BenignModeRunsCleanly) {
@@ -259,7 +266,7 @@ TEST(Scenario, BenignModeRunsCleanly) {
   cfg.topology.region = {{0.0, 0.0}, {220.0, 220.0}};
   cfg.horizon = 1.5 * 86'400.0;
   cfg.seed = 5;
-  const ScenarioResult result = run_scenario(cfg, ChargerMode::Benign);
+  const ScenarioResult result = run_mission(cfg, ChargerMode::Benign);
   EXPECT_FALSE(result.keys.empty());
   EXPECT_EQ(result.report.sessions_spoofed, 0u);
   EXPECT_FALSE(result.report.detected);
@@ -273,8 +280,8 @@ TEST(Scenario, AttackAndBenignShareKeyDefinition) {
   cfg.horizon = 86'400.0;
   cfg.attack.campaign_deadline = cfg.horizon;
   cfg.seed = 6;
-  const ScenarioResult benign = run_scenario(cfg, ChargerMode::Benign);
-  const ScenarioResult attack = run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult benign = run_mission(cfg, ChargerMode::Benign);
+  const ScenarioResult attack = run_mission(cfg, ChargerMode::Attack);
   // Both select from the same ranked candidates; the attacker applies the
   // killability filter so its set is a subset-ish selection, but never
   // empty when the benign set is non-empty on these small worlds.
@@ -283,9 +290,8 @@ TEST(Scenario, AttackAndBenignShareKeyDefinition) {
 }
 
 TEST(Scenario, DetectorSetupMatchesCalibrationFormula) {
-  // run_scenario and run_fleet_scenario used to carry hand-duplicated
-  // copies of this calibration block; make_detector_setup is now the single
-  // source of truth, pinned here against the documented formula.
+  // make_detector_setup is the single source of truth for the deployed
+  // calibration, pinned here against the documented formula.
   ScenarioConfig cfg = default_scenario();
   cfg.topology.node_count = 40;
   cfg.topology.region = {{0.0, 0.0}, {220.0, 220.0}};

@@ -261,8 +261,8 @@ TEST(Config, FaultedConfigRunsDeterministically) {
       "faults.escalation_delay_prob = 0.3\n"
       "faults.escalation_delay_max = 600\n";
   std::istringstream in_a(text), in_b(text);
-  const ScenarioResult a = run_scenario(load_config(in_a), ChargerMode::Benign);
-  const ScenarioResult b = run_scenario(load_config(in_b), ChargerMode::Benign);
+  const ScenarioResult a = run_mission(load_config(in_a), ChargerMode::Benign);
+  const ScenarioResult b = run_mission(load_config(in_b), ChargerMode::Benign);
   EXPECT_EQ(a.trace.sessions.size(), b.trace.sessions.size());
   EXPECT_EQ(a.fault_stats.mc_breakdowns, b.fault_stats.mc_breakdowns);
   EXPECT_EQ(a.fault_stats.escalations_delayed, b.fault_stats.escalations_delayed);
@@ -281,7 +281,7 @@ TEST(Config, LoadedConfigValidatesAndRuns) {
   const ScenarioConfig cfg = load_config(in);
   EXPECT_NO_THROW(cfg.topology.validate());
   EXPECT_NO_THROW(cfg.world.validate());
-  const ScenarioResult result = run_scenario(cfg, ChargerMode::Benign);
+  const ScenarioResult result = run_mission(cfg, ChargerMode::Benign);
   EXPECT_EQ(result.node_count, 40u);
 }
 

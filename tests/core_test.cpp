@@ -632,7 +632,7 @@ analysis::ScenarioConfig small_scenario(std::uint64_t seed) {
 }
 
 TEST(Orchestrator, SpoofedSessionsDeliverNothingButLookNormal) {
-  const analysis::ScenarioResult result = analysis::run_scenario(
+  const analysis::ScenarioResult result = analysis::run_mission(
       small_scenario(42), analysis::ChargerMode::Attack);
   std::size_t spoofed = 0;
   for (const sim::SessionRecord& s : result.trace.sessions) {
@@ -649,13 +649,13 @@ TEST(Orchestrator, SpoofedSessionsDeliverNothingButLookNormal) {
 }
 
 TEST(Orchestrator, KillsMajorityOfKeyTargets) {
-  const analysis::ScenarioResult result = analysis::run_scenario(
+  const analysis::ScenarioResult result = analysis::run_mission(
       small_scenario(43), analysis::ChargerMode::Attack);
   EXPECT_GE(result.report.exhaustion_ratio, 0.6);
 }
 
 TEST(Orchestrator, SpoofedNodesDieSilently) {
-  const analysis::ScenarioResult result = analysis::run_scenario(
+  const analysis::ScenarioResult result = analysis::run_mission(
       small_scenario(44), analysis::ChargerMode::Attack);
   const std::set<net::NodeId> keys(result.keys.begin(), result.keys.end());
   std::set<net::NodeId> spoofed_nodes;
@@ -674,7 +674,7 @@ TEST(Orchestrator, NoServiceModeNeverSpoofsAndGetsAudited) {
   analysis::ScenarioConfig cfg = small_scenario(45);
   cfg.attack.spoof_mode = SpoofMode::NoService;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   EXPECT_EQ(result.report.sessions_spoofed, 0u);
   // Starved key nodes produce escalations / died-waiting audits.
   EXPECT_TRUE(result.report.detected);
@@ -684,7 +684,7 @@ TEST(Orchestrator, SilentSkipCaughtByRssi) {
   analysis::ScenarioConfig cfg = small_scenario(46);
   cfg.attack.spoof_mode = SpoofMode::SilentSkip;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   ASSERT_TRUE(result.report.detected);
   EXPECT_EQ(result.report.detector_name, "rssi-presence");
 }
@@ -697,7 +697,7 @@ TEST(Orchestrator, PartialCancelEvadesSingleSessionAudit) {
   cfg.attack.spoof_mode = SpoofMode::PartialCancel;
   cfg.hardened_detectors = true;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   ASSERT_GT(result.report.sessions_spoofed, 0u);
   bool fleet_fired = false;
   for (const detect::SuiteResult& r : result.detections) {
@@ -723,7 +723,7 @@ TEST(Orchestrator, PartialCancelDeliversTheLeak) {
   cfg.attack.spoof_mode = SpoofMode::PartialCancel;
   cfg.attack.partial_leak_ratio = 0.45;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   std::size_t spoofed = 0;
   for (const sim::SessionRecord& s : result.trace.sessions) {
     if (s.kind != sim::SessionKind::Spoofed) continue;
@@ -737,7 +737,7 @@ TEST(Orchestrator, HardenedSuiteCatchesPhaseCancel) {
   analysis::ScenarioConfig cfg = small_scenario(47);
   cfg.hardened_detectors = true;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   ASSERT_TRUE(result.report.detected);
   EXPECT_TRUE(result.report.detector_name == "energy-delta" ||
               result.report.detector_name == "cusum-shortfall");
@@ -748,9 +748,9 @@ TEST(Orchestrator, PacingDisabledKillsFasterOrEqual) {
   analysis::ScenarioConfig unpaced = small_scenario(48);
   unpaced.attack.pace_limit = 0;
   const auto r_paced =
-      analysis::run_scenario(paced, analysis::ChargerMode::Attack);
+      analysis::run_mission(paced, analysis::ChargerMode::Attack);
   const auto r_unpaced =
-      analysis::run_scenario(unpaced, analysis::ChargerMode::Attack);
+      analysis::run_mission(unpaced, analysis::ChargerMode::Attack);
   // Without pacing, kills are never deferred: at least as many keys dead.
   EXPECT_GE(r_unpaced.report.keys_dead + 1, r_paced.report.keys_dead);
 }

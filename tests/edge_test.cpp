@@ -8,7 +8,7 @@
 #include "analysis/scenario.hpp"
 #include "common/check.hpp"
 #include "detect/audit_planner.hpp"
-#include "mc/agent.hpp"
+#include "mc/vehicle.hpp"
 #include "net/topology.hpp"
 
 namespace wrsn {
@@ -84,7 +84,7 @@ TEST(Edge, SingleNodeNetworkRuns) {
   sim::World world(sim, std::move(network), wp, Rng(1));
   mc::AgentParams ap;
   ap.charger.depot = {0.0, 0.0};
-  mc::ChargerAgent agent(world, ap);
+  mc::Vehicle agent(world, ap);
   agent.start();
   sim.run_until(100'000.0);
   EXPECT_TRUE(world.alive(0));
@@ -101,7 +101,7 @@ TEST(Edge, ChargerWithTinyBatteryCyclesThroughDepot) {
   cfg.benign.charger.battery_capacity = 1e5;
   cfg.benign.charger.depot_recharge_power = 2'000.0;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
+      analysis::run_mission(cfg, analysis::ChargerMode::Benign);
   // Service continues despite the depot cycling (possibly degraded).
   EXPECT_GT(result.trace.sessions.size(), 5u);
   EXPECT_GT(result.alive_at_end, result.node_count - 8);
@@ -113,7 +113,7 @@ TEST(Edge, AttackerWithTinyBatterySurvives) {
   cfg.attack.charger.battery_capacity = 1.5e5;
   cfg.attack.charger.depot_recharge_power = 2'000.0;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   EXPECT_GT(result.trace.sessions.size(), 5u);  // no deadlock
 }
 
@@ -143,7 +143,7 @@ TEST(Edge, AllNodesHardwareFailBeforeAnyRequest) {
   cfg.world.hardware_mtbf = 2'000.0;  // everything dies within the hour
   cfg.horizon = 86'400.0;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   EXPECT_EQ(result.alive_at_end, 0u);
   EXPECT_EQ(result.trace.deaths.size(), 30u);
 }
@@ -156,7 +156,7 @@ TEST(Edge, EmergencyDefenseWithAggressiveThresholds) {
   cfg.world.emergency_patience = 300.0;
   // Must run without assertion failures or event storms.
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   EXPECT_GT(result.trace.sessions.size(), 0u);
 }
 
@@ -168,7 +168,7 @@ TEST(Edge, WindowMarginLargerThanPatience) {
   cfg.seed = 65;
   cfg.attack.window_margin = cfg.world.patience * 2.0;  // clamps to "now"
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   EXPECT_EQ(result.trace.sessions.size(), 0u);
   EXPECT_GT(result.report.escalations, 0u);
   EXPECT_TRUE(result.report.detected);
@@ -179,7 +179,7 @@ TEST(Edge, MaxCountOneKeySelectsSingleTarget) {
   cfg.seed = 66;
   cfg.attack.key_selection.max_count = 1;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   EXPECT_EQ(result.keys.size(), 1u);
   EXPECT_LE(result.report.sessions_spoofed, 3u);
 }
@@ -189,7 +189,7 @@ TEST(Edge, HugePatienceNeverEscalates) {
   cfg.seed = 67;
   cfg.world.patience = 1e9;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
+      analysis::run_mission(cfg, analysis::ChargerMode::Benign);
   EXPECT_EQ(result.report.escalations, 0u);
 }
 
@@ -201,7 +201,7 @@ TEST(Edge, PermanentMcBreakdownStarvesLoudly) {
   cfg.seed = 69;
   cfg.faults.mc_permanent_at = cfg.horizon / 2.0;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
+      analysis::run_mission(cfg, analysis::ChargerMode::Benign);
   EXPECT_EQ(result.fault_stats.mc_breakdowns, 1u);
   EXPECT_EQ(result.fault_stats.mc_repairs, 0u);
   ASSERT_GT(result.trace.sessions.size(), 0u);
@@ -224,7 +224,7 @@ TEST(Edge, DelayedEscalationDeadlinesStayInTheFuture) {
   cfg.faults.escalation_delay_prob = 0.5;
   cfg.faults.escalation_delay_max = 1'800.0;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
+      analysis::run_mission(cfg, analysis::ChargerMode::Benign);
   ASSERT_GT(result.trace.escalations.size(), 0u);
   double previous = 0.0;
   for (const sim::EscalationRecord& e : result.trace.escalations) {
@@ -246,8 +246,12 @@ TEST(Edge, DelayedEscalationDeadlinesStayInTheFuture) {
 TEST(Edge, DeterministicAcrossFleetRuns) {
   analysis::ScenarioConfig cfg = analysis::default_scenario();
   cfg.seed = 68;
-  const analysis::ScenarioResult a = analysis::run_fleet_scenario(cfg, 3, 1);
-  const analysis::ScenarioResult b = analysis::run_fleet_scenario(cfg, 3, 1);
+  cfg.fleet_size = 3;
+  cfg.fleet_compromised = 1;
+  const analysis::ScenarioResult a =
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
+  const analysis::ScenarioResult b =
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   EXPECT_EQ(a.trace.sessions.size(), b.trace.sessions.size());
   EXPECT_EQ(a.report.keys_dead, b.report.keys_dead);
 }

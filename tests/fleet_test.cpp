@@ -202,30 +202,39 @@ TEST(Fleet, PartitionAssignsToNearestDepot) {
   }
 }
 
-analysis::ScenarioConfig fleet_config(std::uint64_t seed) {
+analysis::ScenarioConfig fleet_config(std::uint64_t seed,
+                                      std::size_t size = 1,
+                                      std::size_t compromised = SIZE_MAX) {
   analysis::ScenarioConfig cfg = analysis::default_scenario();
   cfg.seed = seed;
+  cfg.fleet_size = size;
+  cfg.fleet_compromised = compromised;
   return cfg;
 }
 
+/// Attack mission when a member is compromised, else a wholly honest fleet.
+analysis::ScenarioResult run_fleet(const analysis::ScenarioConfig& cfg) {
+  return analysis::run_mission(cfg, cfg.fleet_compromised < cfg.fleet_size
+                                        ? analysis::ChargerMode::Attack
+                                        : analysis::ChargerMode::Benign);
+}
+
 TEST(Fleet, TwoHonestChargersShareTheLoad) {
-  const analysis::ScenarioResult result =
-      analysis::run_fleet_scenario(fleet_config(31), 2);
+  const analysis::ScenarioResult result = run_fleet(fleet_config(31, 2));
   EXPECT_EQ(result.report.sessions_spoofed, 0u);
   EXPECT_FALSE(result.report.detected);
   EXPECT_LT(result.report.escalations, 4u);
   // With two vehicles, the first vehicle's ledger shows roughly half the
   // single-charger radiated load.
-  const analysis::ScenarioResult solo = analysis::run_scenario(
+  const analysis::ScenarioResult solo = analysis::run_mission(
       fleet_config(31), analysis::ChargerMode::Benign);
   EXPECT_LT(result.ledger.radiated_total(),
             0.85 * solo.ledger.radiated_total());
 }
 
 TEST(Fleet, CompromisedMemberAttacksOnlyItsCell) {
-  analysis::ScenarioConfig cfg = fleet_config(32);
-  const analysis::ScenarioResult result =
-      analysis::run_fleet_scenario(cfg, 3, /*compromised=*/1);
+  const analysis::ScenarioConfig cfg = fleet_config(32, 3, /*compromised=*/1);
+  const analysis::ScenarioResult result = run_fleet(cfg);
 
   // Recreate the same partition to know cell 1.
   Rng rng(cfg.seed);
@@ -250,17 +259,15 @@ TEST(Fleet, CompromisedMemberAttacksOnlyItsCell) {
 }
 
 TEST(Fleet, CompromisedMemberStillKillsItsTargets) {
-  const analysis::ScenarioResult result =
-      analysis::run_fleet_scenario(fleet_config(33), 3, 0);
+  const analysis::ScenarioResult result = run_fleet(fleet_config(33, 3, 0));
   EXPECT_GT(result.report.sessions_spoofed, 0u);
   EXPECT_GE(result.report.exhaustion_ratio, 0.5);
 }
 
 TEST(Fleet, HonestMembersDoNotMaskTheHardenedAudit) {
-  analysis::ScenarioConfig cfg = fleet_config(34);
+  analysis::ScenarioConfig cfg = fleet_config(34, 3, 0);
   cfg.hardened_detectors = true;
-  const analysis::ScenarioResult result =
-      analysis::run_fleet_scenario(cfg, 3, 0);
+  const analysis::ScenarioResult result = run_fleet(cfg);
   EXPECT_TRUE(result.report.detected);
 }
 
@@ -269,11 +276,10 @@ TEST(Fleet, HonestMembersDoNotMaskTheHardenedAudit) {
 // served by two chargers at once, and nobody starves waiting on the dead
 // vehicle.
 TEST(Fleet, HandoffAfterPermanentLossKeepsTheCellServed) {
-  analysis::ScenarioConfig cfg = fleet_config(40);
+  analysis::ScenarioConfig cfg = fleet_config(40, 3);
   const Seconds loss_at = 0.3 * cfg.horizon;
   cfg.faults.mc_permanent_at = loss_at;
-  const analysis::ScenarioResult result =
-      analysis::run_fleet_scenario(cfg, 3);
+  const analysis::ScenarioResult result = run_fleet(cfg);
 
   // The breakdown fired and was delivered to exactly one handoff hook.
   EXPECT_GE(result.fault_stats.mc_breakdowns, 1u);

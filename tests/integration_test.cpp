@@ -22,7 +22,7 @@ ScenarioConfig mission(std::uint64_t seed) {
 }
 
 TEST(Integration, BenignMissionKeepsNetworkHealthy) {
-  const ScenarioResult result = analysis::run_scenario(mission(101), ChargerMode::Benign);
+  const ScenarioResult result = analysis::run_mission(mission(101), ChargerMode::Benign);
   // Only background hardware failures may kill nodes.
   EXPECT_GE(result.alive_at_end + 4, result.node_count);
   EXPECT_FALSE(result.report.detected);
@@ -36,7 +36,7 @@ TEST(Integration, HeadlineClaim_MajorityKeysExhaustedUndetected) {
   // fluctuate).
   std::vector<double> exhausted, undetected;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const ScenarioResult r = analysis::run_scenario(mission(seed), ChargerMode::Attack);
+    const ScenarioResult r = analysis::run_mission(mission(seed), ChargerMode::Attack);
     exhausted.push_back(r.report.exhaustion_ratio);
     undetected.push_back(r.report.undetected_exhaustion_ratio);
   }
@@ -45,7 +45,7 @@ TEST(Integration, HeadlineClaim_MajorityKeysExhaustedUndetected) {
 }
 
 TEST(Integration, SpoofedEnergyIsNegligible) {
-  const ScenarioResult result = analysis::run_scenario(mission(3), ChargerMode::Attack);
+  const ScenarioResult result = analysis::run_mission(mission(3), ChargerMode::Attack);
   ASSERT_GT(result.report.sessions_spoofed, 0u);
   // Across all spoofed sessions, total harvested energy is < 1 J while a
   // single genuine session delivers kJ.
@@ -54,7 +54,7 @@ TEST(Integration, SpoofedEnergyIsNegligible) {
 }
 
 TEST(Integration, AttackRadiationLedgerLooksBenign) {
-  const ScenarioResult attack = analysis::run_scenario(mission(4), ChargerMode::Attack);
+  const ScenarioResult attack = analysis::run_mission(mission(4), ChargerMode::Attack);
   // Depot-side audit: radiated energy per session-second is the source
   // power for both kinds; the spoofed bucket is indistinguishable in rate.
   double genuine_time = 0.0, spoof_time = 0.0;
@@ -72,8 +72,8 @@ TEST(Integration, AttackRadiationLedgerLooksBenign) {
 }
 
 TEST(Integration, AttackPartitionsNetworkBenignDoesNot) {
-  const ScenarioResult benign = analysis::run_scenario(mission(5), ChargerMode::Benign);
-  const ScenarioResult attack = analysis::run_scenario(mission(5), ChargerMode::Attack);
+  const ScenarioResult benign = analysis::run_mission(mission(5), ChargerMode::Benign);
+  const ScenarioResult attack = analysis::run_mission(mission(5), ChargerMode::Attack);
   EXPECT_TRUE(attack.report.partition_time.has_value());
   // A benign mission may lose an unlucky hardware-failed cut vertex, but
   // the attack partitions far earlier when both partition.
@@ -92,7 +92,7 @@ TEST(Integration, EnergyConservationPerNode) {
   cfg.topology.region = {{0.0, 0.0}, {220.0, 220.0}};
   cfg.horizon = 2 * 86'400.0;
   cfg.world.hardware_mtbf = 0.0;  // keep the ledger pure
-  const ScenarioResult result = analysis::run_scenario(cfg, ChargerMode::Benign);
+  const ScenarioResult result = analysis::run_mission(cfg, ChargerMode::Benign);
   // Total delivered must not exceed what the charger radiated.
   double delivered = 0.0;
   for (const sim::SessionRecord& s : result.trace.sessions) {
@@ -107,7 +107,7 @@ TEST(Integration, EmergencyDefenseExposesCsa) {
   // before dying: the service audit catches the repeated emergencies.
   ScenarioConfig cfg = mission(7);
   cfg.world.emergency_enabled = true;
-  const ScenarioResult result = analysis::run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult result = analysis::run_mission(cfg, ChargerMode::Attack);
   bool emergency_seen = false;
   for (const sim::RequestRecord& r : result.trace.requests) {
     if (r.emergency) emergency_seen = true;
@@ -123,25 +123,25 @@ TEST(Integration, DetectorSeparationMatrix) {
   ScenarioConfig cfg = mission(8);
 
   cfg.attack.spoof_mode = SpoofMode::SilentSkip;
-  const ScenarioResult silent = analysis::run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult silent = analysis::run_mission(cfg, ChargerMode::Attack);
   ASSERT_TRUE(silent.report.detected);
   EXPECT_EQ(silent.report.detector_name, "rssi-presence");
 
   cfg.attack.spoof_mode = SpoofMode::NoService;
-  const ScenarioResult starve = analysis::run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult starve = analysis::run_mission(cfg, ChargerMode::Attack);
   ASSERT_TRUE(starve.report.detected);
   EXPECT_EQ(starve.report.detector_name, "service-audit");
 
   cfg.attack.spoof_mode = SpoofMode::PhaseCancel;
   cfg.hardened_detectors = true;
-  const ScenarioResult hardened = analysis::run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult hardened = analysis::run_mission(cfg, ChargerMode::Attack);
   ASSERT_TRUE(hardened.report.detected);
   EXPECT_TRUE(hardened.report.detector_name == "energy-delta" ||
               hardened.report.detector_name == "cusum-shortfall");
 }
 
 TEST(Integration, SpoofedKeysNeverEscalate) {
-  const ScenarioResult result = analysis::run_scenario(mission(9), ChargerMode::Attack);
+  const ScenarioResult result = analysis::run_mission(mission(9), ChargerMode::Attack);
   std::set<net::NodeId> spoofed;
   for (const sim::SessionRecord& s : result.trace.sessions) {
     if (s.kind == sim::SessionKind::Spoofed) spoofed.insert(s.node);
@@ -159,11 +159,11 @@ TEST(Integration, PlannerOrderingCsaVsBaselines) {
   const csa::GreedyNearestPlanner greedy;
   ScenarioConfig cfg = mission(10);
 
-  const ScenarioResult csa_run = analysis::run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult csa_run = analysis::run_mission(cfg, ChargerMode::Attack);
   const ScenarioResult random_run =
-      analysis::run_scenario(cfg, ChargerMode::Attack, &random);
+      analysis::run_mission(cfg, ChargerMode::Attack, &random);
   const ScenarioResult greedy_run =
-      analysis::run_scenario(cfg, ChargerMode::Attack, &greedy);
+      analysis::run_mission(cfg, ChargerMode::Attack, &greedy);
 
   EXPECT_GE(csa_run.report.utility_delivered,
             random_run.report.utility_delivered);
@@ -182,7 +182,7 @@ TEST(Integration, PermanentChargerLossDoesNotDeadlockMission) {
   cfg.faults.mc_permanent_at = cfg.horizon * 0.6;
   cfg.faults.escalation_delay_prob = 0.5;
   cfg.faults.escalation_delay_max = 1'800.0;
-  const ScenarioResult r = analysis::run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult r = analysis::run_mission(cfg, ChargerMode::Attack);
   EXPECT_LT(r.events_executed, 2'000'000u + 20'000u * r.node_count);
   EXPECT_GE(r.fault_stats.mc_breakdowns, 1u);
   ASSERT_GT(r.trace.sessions.size(), 0u);
@@ -196,7 +196,8 @@ TEST(Integration, FleetSurvivesPermanentLossOfOneCharger) {
   // alive, so sessions continue past the loss.
   ScenarioConfig cfg = mission(12);
   cfg.faults.mc_permanent_at = cfg.horizon / 3.0;
-  const ScenarioResult r = analysis::run_fleet_scenario(cfg, 3, SIZE_MAX);
+  cfg.fleet_size = 3;
+  const ScenarioResult r = analysis::run_mission(cfg, ChargerMode::Benign);
   EXPECT_EQ(r.fault_stats.mc_breakdowns, 1u);
   EXPECT_EQ(r.fault_stats.mc_repairs, 0u);
   bool session_after_loss = false;

@@ -7,7 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "mc/agent.hpp"
+#include "mc/vehicle.hpp"
 #include "mc/charger.hpp"
 #include "mc/tsp.hpp"
 #include "net/topology.hpp"
@@ -207,7 +207,7 @@ AgentParams agent_params() {
 TEST(Agent, ServesRequestsAndKeepsNetworkAlive) {
   sim::Simulator sim;
   sim::World world(sim, agent_network(21), agent_world_params(), Rng(2));
-  ChargerAgent agent(world, agent_params());
+  Vehicle agent(world, agent_params());
   agent.start();
   sim.run_until(80'000.0);
   EXPECT_GT(agent.sessions_completed(), 5u);
@@ -218,7 +218,7 @@ TEST(Agent, ServesRequestsAndKeepsNetworkAlive) {
 TEST(Agent, SessionsDeliverTheDeficit) {
   sim::Simulator sim;
   sim::World world(sim, agent_network(22), agent_world_params(), Rng(3));
-  ChargerAgent agent(world, agent_params());
+  Vehicle agent(world, agent_params());
   agent.start();
   sim.run_until(80'000.0);
   ASSERT_GT(world.trace().sessions.size(), 5u);
@@ -242,7 +242,7 @@ TEST(Agent, SessionsDeliverTheDeficit) {
 TEST(Agent, DoubleStartThrows) {
   sim::Simulator sim;
   sim::World world(sim, agent_network(23), agent_world_params(), Rng(4));
-  ChargerAgent agent(world, agent_params());
+  Vehicle agent(world, agent_params());
   agent.start();
   EXPECT_THROW(agent.start(), PreconditionError);
 }
@@ -254,7 +254,7 @@ TEST(Agent, TourPolicyBatchesRequests) {
   params.policy = SchedulePolicy::Tour;
   params.tour_batch = 3;
   params.tour_max_wait = 1'200.0;
-  ChargerAgent agent(world, params);
+  Vehicle agent(world, params);
   agent.start();
   sim.run_until(80'000.0);
   EXPECT_GT(agent.sessions_completed(), 5u);
@@ -271,7 +271,7 @@ TEST(Agent, TourMaxWaitBoundsServiceDelay) {
   params.policy = SchedulePolicy::Tour;
   params.tour_batch = 50;  // impossible batch: only the age trigger fires
   params.tour_max_wait = 600.0;
-  ChargerAgent agent(world, params);
+  Vehicle agent(world, params);
   agent.start();
   sim.run_until(80'000.0);
   EXPECT_GT(agent.sessions_completed(), 3u);
@@ -310,7 +310,7 @@ TEST(Agent, PoliciesAllServeWithoutEscalation) {
     sim::World world(sim, agent_network(24), agent_world_params(), Rng(5));
     AgentParams params = agent_params();
     params.policy = policy;
-    ChargerAgent agent(world, params);
+    Vehicle agent(world, params);
     agent.start();
     sim.run_until(60'000.0);
     EXPECT_TRUE(world.trace().escalations.empty())
@@ -322,7 +322,7 @@ TEST(Agent, PoliciesAllServeWithoutEscalation) {
 TEST(Agent, LedgerTracksTravelAndRadiation) {
   sim::Simulator sim;
   sim::World world(sim, agent_network(25), agent_world_params(), Rng(6));
-  ChargerAgent agent(world, agent_params());
+  Vehicle agent(world, agent_params());
   agent.start();
   sim.run_until(60'000.0);
   ASSERT_GT(agent.sessions_completed(), 0u);

@@ -243,7 +243,7 @@ TEST(RunnerMetrics, BitIdenticalAcrossThreadCounts) {
         [&cfg](std::size_t index, Rng&) {
           analysis::ScenarioConfig trial_cfg = cfg;
           trial_cfg.seed = index + 1;
-          const analysis::ScenarioResult result = analysis::run_scenario(
+          const analysis::ScenarioResult result = analysis::run_mission(
               trial_cfg, index % 2 == 0 ? analysis::ChargerMode::Attack
                                         : analysis::ChargerMode::Benign);
           return result.alive_at_end;

@@ -355,7 +355,7 @@ TEST(WorldProperty, RequestThresholdMonotonicity) {
       cfg.horizon = 5 * 86'400.0;
       cfg.world.hardware_mtbf = 0.0;
       const auto result =
-          analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
+          analysis::run_mission(cfg, analysis::ChargerMode::Benign);
       ASSERT_FALSE(result.trace.requests.empty());
       (threshold < 0.3 ? first_low : first_high) =
           result.trace.requests.front().time;
@@ -371,7 +371,7 @@ TEST(WorldProperty, SessionEnergiesPhysical) {
   analysis::ScenarioConfig cfg = analysis::default_scenario();
   cfg.seed = 21;
   const auto result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
   for (const sim::SessionRecord& s : result.trace.sessions) {
     EXPECT_GE(s.delivered, 0.0);
     EXPECT_GE(s.radiated, -1e-9);

@@ -138,7 +138,7 @@ TEST(RunTrials, ScenarioSweepIsBitIdenticalAcrossThreadCounts) {
           cfg.topology.comm_range = 65.0 * std::sqrt(2.0);
           cfg.horizon = 12 * 3'600.0;
           const analysis::ScenarioResult r =
-              analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+              analysis::run_mission(cfg, analysis::ChargerMode::Attack);
           return Digest{r.report.exhaustion_ratio,
                         r.report.utility_delivered, r.plans_computed,
                         r.trace.deaths.size(), r.report.detected};

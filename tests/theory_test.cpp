@@ -158,7 +158,7 @@ TEST(TheoryVsSim, SpoofedKeyDiesAtPredictedKillTime) {
   analysis::ScenarioConfig cfg = analysis::default_scenario();
   cfg.seed = 11;
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
 
   const std::set<net::NodeId> keys(result.keys.begin(), result.keys.end());
   for (const sim::SessionRecord& s : result.trace.sessions) {
@@ -230,7 +230,7 @@ TEST(TheoryVsSim, PacingThroughputBoundsObservedKills) {
   cfg.seed = 12;
   cfg.attack.key_selection.max_count = 40;  // far more than pace allows
   const analysis::ScenarioResult result =
-      analysis::run_scenario(cfg, analysis::ChargerMode::Attack);
+      analysis::run_mission(cfg, analysis::ChargerMode::Attack);
 
   std::set<net::NodeId> spoofed;
   for (const sim::SessionRecord& s : result.trace.sessions) {
@@ -269,7 +269,7 @@ TEST(TheoryVsSim, DetectionRiskBoundCoversEmpiricalRate) {
   for (int seed = 1; seed <= 5; ++seed) {
     cfg.seed = static_cast<std::uint64_t>(seed);
     const analysis::ScenarioResult result =
-        analysis::run_scenario(cfg, analysis::ChargerMode::Benign);
+        analysis::run_mission(cfg, analysis::ChargerMode::Benign);
     for (const detect::SuiteResult& r : result.detections) {
       if (r.detector == "death-rate" && r.detection.has_value()) ++fp;
     }

@@ -153,9 +153,9 @@ TEST_P(WorldEquivalence, FastMatchesReference) {
       (index % 2 == 0) ? ChargerMode::Attack : ChargerMode::Benign;
 
   cfg.world.update_mode = sim::WorldUpdateMode::Fast;
-  const ScenarioResult fast = run_scenario(cfg, mode);
+  const ScenarioResult fast = run_mission(cfg, mode);
   cfg.world.update_mode = sim::WorldUpdateMode::Reference;
-  const ScenarioResult ref = run_scenario(cfg, mode);
+  const ScenarioResult ref = run_mission(cfg, mode);
 
   const std::string label =
       "scenario " + std::to_string(index) +
@@ -212,9 +212,9 @@ TEST(WorldEquivalenceFrontier, MobileHeterogeneousCoverageMatches) {
   cfg.seed = 0xF00DF00Dull;
 
   cfg.world.update_mode = sim::WorldUpdateMode::Fast;
-  const ScenarioResult fast = run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult fast = run_mission(cfg, ChargerMode::Attack);
   cfg.world.update_mode = sim::WorldUpdateMode::Reference;
-  const ScenarioResult ref = run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult ref = run_mission(cfg, ChargerMode::Attack);
 
   expect_traces_equal(fast.trace, ref.trace, "frontier compound (attack)");
   EXPECT_EQ(fast.alive_at_end, ref.alive_at_end);
@@ -239,9 +239,9 @@ TEST(WorldEquivalenceScale, FastMatchesReferenceAt1600Nodes) {
   cfg.seed = 0xC0FFEEull;
 
   cfg.world.update_mode = sim::WorldUpdateMode::Fast;
-  const ScenarioResult fast = run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult fast = run_mission(cfg, ChargerMode::Attack);
   cfg.world.update_mode = sim::WorldUpdateMode::Reference;
-  const ScenarioResult ref = run_scenario(cfg, ChargerMode::Attack);
+  const ScenarioResult ref = run_mission(cfg, ChargerMode::Attack);
 
   expect_traces_equal(fast.trace, ref.trace, "scenario n=1600 (attack)");
   EXPECT_FALSE(fast.trace.deaths.empty());  // the cascade path must fire

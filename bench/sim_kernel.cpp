@@ -1,8 +1,9 @@
 // Event-kernel and world-update performance: the cost of death cascades
 // under the incremental (Fast) updater versus the full-rebuild Reference
 // path, the kernel's schedule/cancel churn rate, an end-to-end fig5
-// exhaustion trial under both modes, and whole attack/benign missions at
-// N = 100 / 1.6k / 10k (BM_Mission).
+// exhaustion trial under both modes, the whole-network graph stages
+// (topology generation, key-node survey, post-mission report), and whole
+// attack/benign missions at N = 100 / 1.6k / 10k (BM_Mission).
 //
 // Reproduce with bench/run_benchmarks.sh, which records the JSON trajectory
 // in BENCH_sim.json (see EXPERIMENTS.md).  The headline criterion: the Fast
@@ -15,10 +16,14 @@
 #include <cmath>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "analysis/scenario.hpp"
 #include "common/rng.hpp"
 #include "core/planners.hpp"
+#include "core/report.hpp"
+#include "net/keynodes.hpp"
+#include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -45,10 +50,15 @@ net::Network cascade_network(std::size_t n) {
   return net::generate_topology(topo, rng);
 }
 
-// Topology generation at scale: the grid-bucketed adjacency build plus the
-// separation index.  The 10k row is the frontier deployment target — both
-// passes are O(N + edges), so doubling density should roughly double the
+// Topology generation at scale: placement with the separation index, then
+// one Network build (grid-bucketed adjacency, each node pair visited once
+// per count/fill pass) and connectivity check per deployment tried.  The
+// build is O(N + edges), so doubling density should roughly double the
 // time, not quadruple it the way the old O(N^2) pairwise scans did.
+// `attempts` is the number of deployments generated before one was
+// connected (net.topology_attempts): at N=1600 the calibrated density sits
+// near the connectivity threshold and several are rejected, which is why
+// that row can cost more than the 10k rows with their wider radios.
 void BM_TopologyGenerate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool heterogeneous = state.range(1) != 0;
@@ -63,6 +73,8 @@ void BM_TopologyGenerate(benchmark::State& state) {
     topo.class_rate_ratio = 1.5;
   }
   std::size_t edges = 0;
+  obs::MetricRegistry registry;
+  const obs::ScopedRegistry scope(&registry);
   for (auto _ : state) {
     Rng rng(42);
     const net::Network network = net::generate_topology(topo, rng);
@@ -73,12 +85,74 @@ void BM_TopologyGenerate(benchmark::State& state) {
     }
   }
   state.counters["edges"] = double(edges / 2);
+  state.counters["attempts"] =
+      registry.value(obs::Metric::kNetTopologyAttempts) /
+      double(state.iterations());
 }
 BENCHMARK(BM_TopologyGenerate)
     ->ArgNames({"nodes", "hetero"})
     ->Args({1'600, 0})
     ->Args({10'000, 0})
     ->Args({10'000, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// The attacker's key-node survey (`rank_key_nodes`, all nodes alive) on the
+// generated deployment the cascade rows use: one sink-rooted DFS yields
+// every node's disconnect count, then the ranking sort.  `cuts` counts the
+// nodes whose death disconnects at least one other.
+void BM_KeyNodeSurvey(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const net::Network network = cascade_network(n);
+  const net::TrafficLoads loads =
+      net::compute_loads(network, net::build_routing_tree(network));
+  std::size_t cuts = 0;
+  for (auto _ : state) {
+    const std::vector<net::KeyNodeInfo> ranked =
+        net::rank_key_nodes(network, loads);
+    cuts = 0;
+    while (cuts < ranked.size() && ranked[cuts].disconnect_count > 0) ++cuts;
+    benchmark::DoNotOptimize(ranked.data());
+  }
+  state.counters["cuts"] = double(cuts);
+}
+BENCHMARK(BM_KeyNodeSurvey)
+    ->ArgName("nodes")
+    ->Arg(1'600)
+    ->Arg(10'000)
+    ->Unit(benchmark::kMillisecond);
+
+// The post-mission report (`build_report`) over the trace of the benign
+// N=10k BM_Mission row: key deaths, detection, session tallies and the
+// partition instant, replayed over every recorded death.  The mission runs
+// once, outside the timing; its network is regenerated from the same seed.
+void BM_BuildReport(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  analysis::ScenarioConfig cfg = analysis::default_scenario();
+  const double side = 40.0 * std::sqrt(double(n));
+  cfg.topology.node_count = n;
+  cfg.topology.region = {{0.0, 0.0}, {side, side}};
+  cfg.topology.comm_range = comm_range_for(n);
+  cfg.horizon = 120 * 3'600.0;
+  cfg.benign.charger.depot = {side / 2.0, side / 2.0};
+  cfg.seed = 42;
+  const analysis::ScenarioResult mission =
+      analysis::run_mission(cfg, analysis::ChargerMode::Benign);
+  Rng topo_rng = Rng(cfg.seed).fork("topology");
+  const net::Network network =
+      net::generate_topology(cfg.topology, topo_rng);
+  bool partitioned = false;
+  for (auto _ : state) {
+    const csa::AttackReport report = csa::build_report(
+        network, mission.trace, mission.keys, mission.detections);
+    partitioned = report.partition_time.has_value();
+    benchmark::DoNotOptimize(report.keys_dead);
+  }
+  state.counters["deaths"] = double(mission.trace.deaths.size());
+  state.counters["partitioned"] = partitioned ? 1.0 : 0.0;
+}
+BENCHMARK(BM_BuildReport)
+    ->ArgName("nodes")
+    ->Arg(10'000)
     ->Unit(benchmark::kMillisecond);
 
 // A full starvation collapse: nobody charges, all N nodes request, escalate,

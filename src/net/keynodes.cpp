@@ -1,10 +1,9 @@
 #include "net/keynodes.hpp"
 
 #include <algorithm>
-#include <stack>
+#include <span>
 
 #include "common/check.hpp"
-#include "net/topology.hpp"
 
 namespace wrsn::net {
 namespace {
@@ -13,112 +12,104 @@ bool alive_or_all(const Bitmap& alive, NodeId id) {
   return alive.empty() || alive.test(id);
 }
 
-// Adjacency view over the alive subgraph with the sink as virtual vertex n.
-class AliveGraph {
- public:
-  AliveGraph(const Network& network, const Bitmap& alive)
-      : network_(network), alive_(alive) {}
-
-  std::size_t vertex_count() const { return network_.size() + 1; }
-  std::size_t sink_vertex() const { return network_.size(); }
-
-  bool present(std::size_t v) const {
-    return v == sink_vertex() || alive_or_all(alive_, static_cast<NodeId>(v));
-  }
-
-  template <typename Fn>
-  void for_each_neighbor(std::size_t v, Fn&& fn) const {
-    if (v == sink_vertex()) {
-      for (const NodeId u : network_.sink_neighbors()) {
-        if (present(u)) fn(static_cast<std::size_t>(u));
-      }
-      return;
-    }
-    const auto id = static_cast<NodeId>(v);
-    for (const NodeId u : network_.neighbors(id)) {
-      if (present(u)) fn(static_cast<std::size_t>(u));
-    }
-    if (network_.sink_reachable(id)) fn(sink_vertex());
-  }
-
- private:
-  const Network& network_;
-  const Bitmap& alive_;
+// One iterative Tarjan DFS (recursion-free so deep chain topologies cannot
+// overflow the stack) over the alive subgraph plus the sink as virtual
+// vertex n.  The sink's component is searched first, rooted at the sink, so
+// a node v's death disconnects from the sink exactly the DFS subtrees of its
+// children c with low[c] >= disc[v]; `disconnects[v]` sums their sizes.
+// Nodes outside the sink's component keep 0.  The remaining components are
+// searched after it so `is_cut` covers the whole alive graph.
+struct CutSurvey {
+  std::vector<bool> is_cut;
+  std::vector<std::size_t> disconnects;
 };
 
-// Iterative Tarjan articulation-point computation (recursion-free so deep
-// chain topologies cannot overflow the stack).
-std::vector<bool> tarjan_articulation(const AliveGraph& graph) {
-  const std::size_t n = graph.vertex_count();
-  std::vector<int> disc(n, -1);
-  std::vector<int> low(n, -1);
-  std::vector<bool> is_cut(n, false);
+CutSurvey survey_cuts(const Network& network, const Bitmap& alive) {
+  WRSN_REQUIRE(alive.empty() || alive.size() == network.size(),
+               "alive mask size mismatch");
+  const std::size_t sink = network.size();
+  const std::size_t n = sink + 1;
+  const auto present = [&](std::size_t v) {
+    return v == sink || alive_or_all(alive, static_cast<NodeId>(v));
+  };
+  CutSurvey out{std::vector<bool>(n, false), std::vector<std::size_t>(n, 0)};
+  std::vector<std::size_t> disc(n, 0);  // 0 = unvisited; times start at 1
+  std::vector<std::size_t> low(n, 0);
+  std::vector<std::size_t> subtree(n, 0);
 
+  // A frame walks its vertex's CSR row in place: a node's neighbour row,
+  // then one extra slot for the sink when it is in range; the sink's row is
+  // the sink-neighbour table.
   struct Frame {
     std::size_t vertex;
-    std::size_t parent;
-    std::vector<std::size_t> neighbors;
-    std::size_t next_index = 0;
-    int child_count = 0;
+    std::size_t parent;  // n for a root
+    std::span<const NodeId> row;
+    std::size_t end;  // row.size(), +1 for a sink edge
+    std::size_t next = 0;
+    std::size_t children = 0;
   };
-
-  int timer = 0;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (!graph.present(root) || disc[root] != -1) continue;
-
-    std::stack<Frame> stack;
-    const auto push_vertex = [&](std::size_t v, std::size_t parent) {
-      disc[v] = low[v] = timer++;
-      Frame frame;
-      frame.vertex = v;
-      frame.parent = parent;
-      graph.for_each_neighbor(
-          v, [&](std::size_t u) { frame.neighbors.push_back(u); });
-      stack.push(std::move(frame));
+  std::vector<Frame> stack;
+  std::size_t timer = 0;
+  const auto search = [&](std::size_t root) {
+    const bool from_sink = root == sink;
+    const auto push = [&](std::size_t v, std::size_t parent) {
+      disc[v] = low[v] = ++timer;
+      if (v == sink) {
+        const auto row = network.sink_neighbors();
+        stack.push_back({v, parent, row, row.size()});
+        return;
+      }
+      subtree[v] = 1;
+      const auto id = static_cast<NodeId>(v);
+      const auto row = network.neighbors(id);
+      stack.push_back(
+          {v, parent, row, row.size() + (network.sink_reachable(id) ? 1 : 0)});
     };
-
-    push_vertex(root, n);  // n = no parent sentinel
+    push(root, n);
     while (!stack.empty()) {
-      Frame& frame = stack.top();
-      if (frame.next_index < frame.neighbors.size()) {
-        const std::size_t u = frame.neighbors[frame.next_index++];
-        if (u == frame.parent) continue;
-        if (disc[u] == -1) {
-          ++frame.child_count;
-          push_vertex(u, frame.vertex);
+      Frame& frame = stack.back();
+      const std::size_t v = frame.vertex;
+      if (frame.next < frame.end) {
+        const std::size_t k = frame.next++;
+        const std::size_t u = k < frame.row.size() ? frame.row[k] : sink;
+        if (u == frame.parent || !present(u)) continue;
+        if (disc[u] == 0) {
+          ++frame.children;
+          push(u, v);
         } else {
-          low[frame.vertex] = std::min(low[frame.vertex], disc[u]);
+          low[v] = std::min(low[v], disc[u]);
         }
         continue;
       }
-      // Frame finished: propagate low-link to the parent frame.
-      const Frame done = std::move(frame);
-      stack.pop();
-      if (!stack.empty()) {
-        Frame& parent_frame = stack.top();
-        low[parent_frame.vertex] =
-            std::min(low[parent_frame.vertex], low[done.vertex]);
-        if (low[done.vertex] >= disc[parent_frame.vertex] &&
-            parent_frame.parent != n) {
-          is_cut[parent_frame.vertex] = true;
-        }
-      } else if (done.child_count > 1) {
-        is_cut[done.vertex] = true;  // root with 2+ DFS children
+      // v finished: fold its low-link and subtree into the parent.
+      const std::size_t children = frame.children;
+      stack.pop_back();
+      if (stack.empty()) {
+        if (children > 1) out.is_cut[v] = true;  // root with 2+ DFS children
+        continue;
+      }
+      const std::size_t p = stack.back().vertex;
+      low[p] = std::min(low[p], low[v]);
+      subtree[p] += subtree[v];
+      if (low[v] >= disc[p] && stack.back().parent != n) {
+        out.is_cut[p] = true;
+        if (from_sink) out.disconnects[p] += subtree[v];
       }
     }
+  };
+
+  search(sink);
+  for (std::size_t v = 0; v < sink; ++v) {
+    if (present(v) && disc[v] == 0) search(v);
   }
-  return is_cut;
+  return out;
 }
 
 }  // namespace
 
 std::vector<NodeId> articulation_points(const Network& network,
                                         const Bitmap& alive) {
-  WRSN_REQUIRE(alive.empty() || alive.size() == network.size(),
-               "alive mask size mismatch");
-  const AliveGraph graph(network, alive);
-  const std::vector<bool> is_cut = tarjan_articulation(graph);
-
+  const std::vector<bool> is_cut = survey_cuts(network, alive).is_cut;
   std::vector<NodeId> cuts;
   for (NodeId id = 0; id < network.size(); ++id) {
     if (alive_or_all(alive, id) && is_cut[id]) cuts.push_back(id);
@@ -133,23 +124,8 @@ std::vector<KeyNodeInfo> rank_key_nodes(const Network& network,
   WRSN_REQUIRE(loads.tx_bps.empty() || loads.tx_bps.size() == n,
                "loads do not match network");
 
-  // Only articulation points can have nonzero disconnect counts; compute the
-  // exact count for each by re-running sink reachability without the node.
-  const std::vector<NodeId> cuts = articulation_points(network, alive);
-  const std::size_t base_connected = count_sink_connected(network, alive);
-
-  std::vector<std::size_t> disconnects(n, 0);
-  Bitmap mask = alive;
-  if (mask.empty()) mask.assign(n, true);
-  for (const NodeId cut : cuts) {
-    mask.reset(cut);
-    const std::size_t connected = count_sink_connected(network, mask);
-    mask.set(cut);
-    // The cut node itself leaves the connected set; anything beyond that is
-    // collateral disconnection.
-    const std::size_t lost = base_connected - connected;
-    disconnects[cut] = lost > 0 ? lost - 1 : 0;
-  }
+  const std::vector<std::size_t> disconnects =
+      survey_cuts(network, alive).disconnects;
 
   std::vector<KeyNodeInfo> ranked;
   ranked.reserve(n);
@@ -206,7 +182,11 @@ std::vector<NodeId> select_key_nodes(const Network& network,
   }
 
   if (config.rule == KeyNodeRule::Hybrid && selected.size() < config.max_count) {
-    // Fill the remainder with the highest-traffic nodes not yet selected.
+    // Fill the remainder with the highest-traffic nodes not yet selected
+    // (a bitmap, not a scan of `selected`: the attacker's survey asks for
+    // all N, which made the scan quadratic).
+    Bitmap chosen(network.size(), false);
+    for (const NodeId id : selected) chosen.set(id);
     std::vector<KeyNodeInfo> by_traffic = ranked;
     std::sort(by_traffic.begin(), by_traffic.end(),
               [](const KeyNodeInfo& a, const KeyNodeInfo& b) {
@@ -217,10 +197,7 @@ std::vector<NodeId> select_key_nodes(const Network& network,
               });
     for (const KeyNodeInfo& info : by_traffic) {
       if (selected.size() >= config.max_count) break;
-      if (std::find(selected.begin(), selected.end(), info.id) ==
-          selected.end()) {
-        selected.push_back(info.id);
-      }
+      if (!chosen.test(info.id)) selected.push_back(info.id);
     }
   }
   return selected;

@@ -10,10 +10,16 @@
 //
 // The adjacency build is grid-bucketed (cells >= comm_range, 3x3 stencil),
 // O(N + edges) instead of the naive O(N^2) pairwise scan, which is what
-// makes 10k-node deployments and per-epoch rebuilds affordable.  It emits
-// the exact CSR the pairwise scan produced: neighbour lists ascending by id
-// and every edge length computed with the same geom::distance expression
-// (hypot is sign-symmetric, so the (i,j) and (j,i) entries agree bitwise).
+// makes 10k-node deployments and per-epoch rebuilds affordable.  It visits
+// each unordered pair once, from its smaller id, and emits the exact CSR
+// the pairwise scan produced: neighbour lists ascending by id and every
+// edge length computed with the same geom::distance expression.  One hypot
+// fills both the (i,j) and the (j,i) entry; hypot is sign-symmetric, so
+// evaluating it from j would give the same bits.  The range test reads the
+// squared length first: it settles every pair outside a
+// relative band of 1e-9 around the radius exactly as hypot would, so only
+// pairs inside that band, and accepted pairs for their stored length, pay
+// for a hypot.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +49,8 @@ struct SensorSpec {
 class Network {
  public:
   /// Builds the network and its communication graph.  Node ids must equal
-  /// their index in `nodes` (enforced); `comm_range` > 0.
+  /// their index in `nodes` and positions must be finite (enforced);
+  /// `comm_range` > 0.
   Network(std::vector<SensorSpec> nodes, geom::Vec2 sink_position,
           Meters comm_range);
 
@@ -107,7 +114,10 @@ class Network {
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_cursor_;
   std::vector<NodeId> cell_items_;
+  std::vector<Meters> cell_x_;
+  std::vector<Meters> cell_y_;
   std::vector<std::uint32_t> degree_;
+  std::vector<std::uint32_t> pair_slots_;  // one node's in-range later slots
 };
 
 }  // namespace wrsn::net

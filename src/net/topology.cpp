@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <string>
+#include <utility>
 
 #include "common/check.hpp"
+#include "obs/metrics.hpp"
 
 namespace wrsn::net {
 namespace {
@@ -218,6 +221,29 @@ Network build_network(const TopologyConfig& cfg,
 }  // namespace
 
 void TopologyConfig::validate() const {
+  // Checked first: an infinite or NaN extent passes every ordered
+  // comparison below and then breaks the placement and grid arithmetic.
+  const std::pair<const char*, double> reals[] = {
+      {"region.lo.x", region.lo.x},
+      {"region.lo.y", region.lo.y},
+      {"region.hi.x", region.hi.x},
+      {"region.hi.y", region.hi.y},
+      {"comm_range", comm_range},
+      {"min_separation", min_separation},
+      {"mean_data_rate_bps", mean_data_rate_bps},
+      {"battery_capacity", battery_capacity},
+      {"cluster_sigma_fraction", cluster_sigma_fraction},
+      {"cluster_background_fraction", cluster_background_fraction},
+      {"class_capacity_ratio", class_capacity_ratio},
+      {"class_rate_ratio", class_rate_ratio},
+      {"sink_position.x", sink_position.x},
+      {"sink_position.y", sink_position.y},
+  };
+  for (const auto& [name, value] : reals) {
+    if (!std::isfinite(value)) {
+      throw ConfigError(std::string("topology ") + name + " must be finite");
+    }
+  }
   if (node_count == 0) throw ConfigError("node_count must be > 0");
   if (comm_range <= 0.0) throw ConfigError("comm_range must be > 0");
   if (region.width() <= 0.0 || region.height() <= 0.0) {
@@ -242,6 +268,7 @@ void TopologyConfig::validate() const {
 Network generate_topology(const TopologyConfig& config, Rng& rng) {
   config.validate();
   for (std::size_t attempt = 0; attempt < config.max_attempts; ++attempt) {
+    WRSN_OBS_COUNT(kNetTopologyAttempts);
     std::vector<geom::Vec2> points;
     switch (config.deployment) {
       case Deployment::Uniform: points = place_uniform(config, rng); break;

@@ -71,12 +71,15 @@ struct TopologyConfig {
   /// Attempts before generation gives up with SimulationError.
   std::size_t max_attempts = 64;
 
+  /// Throws ConfigError on an out-of-range field.  Every real-valued field
+  /// (region corners and sink position included) must be finite.
   void validate() const;
 };
 
 /// Generates a connected network according to `config`.
 /// Throws SimulationError if no connected deployment is found within
-/// `max_attempts` (density too low for the requested comm_range).
+/// `max_attempts` (density too low for the requested comm_range).  Every
+/// deployment tried, connected or not, bumps `net.topology_attempts`.
 Network generate_topology(const TopologyConfig& config, Rng& rng);
 
 /// True if every node can reach the sink over the unit-disk graph,

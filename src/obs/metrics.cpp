@@ -11,7 +11,7 @@ namespace wrsn::obs {
 
 namespace detail {
 
-thread_local MetricRegistry* g_current = nullptr;
+constinit thread_local MetricRegistry* g_current = nullptr;
 
 #if defined(__x86_64__) || defined(_M_X64)
 double span_ns_per_tick() {

@@ -57,6 +57,8 @@ enum class Metric : std::uint16_t {
   kWorldDeaths,
   kWorldRequests,
   kWorldEscalations,
+  // Topology generation (src/net/topology.cpp).
+  kNetTopologyAttempts,  ///< deployments tried, connected or not
   // CSA planner (src/core/planners.cpp, src/core/orchestrator.cpp).
   kCsaReplans,
   kCsaInsertionsTried,
@@ -172,6 +174,7 @@ inline constexpr std::array<MetricDef, kMetricCount> kDefTable{{
     counter("world.deaths"),
     counter("world.requests"),
     counter("world.escalations"),
+    counter("net.topology_attempts"),
     counter("csa.replans"),
     counter("csa.insertions_tried"),
     counter("csa.cache_hits"),
@@ -218,6 +221,8 @@ static_assert(kDefTable[std::size_t(Metric::kSimEventsScheduled)].name ==
               "sim.events_scheduled");
 static_assert(kDefTable[std::size_t(Metric::kSimHeapPeak)].kind ==
               MetricKind::kGaugeMax);
+static_assert(kDefTable[std::size_t(Metric::kNetTopologyAttempts)].name ==
+              "net.topology_attempts");
 static_assert(kDefTable[std::size_t(Metric::kCsaPlanNs)].timing);
 static_assert(kDefTable[std::size_t(Metric::kMcSessionEnergyJ)].name ==
               "mc.session_energy_j");
@@ -345,7 +350,7 @@ class MetricRegistry {
 
 namespace detail {
 /// The thread-local current registry; null = instrumentation disabled.
-extern thread_local MetricRegistry* g_current;
+extern constinit thread_local MetricRegistry* g_current;
 }  // namespace detail
 
 inline MetricRegistry* current() noexcept { return detail::g_current; }

@@ -120,6 +120,22 @@ TEST(Config, ScenarioFrontierBadValuesThrow) {
   }
 }
 
+TEST(Config, NonFiniteTopologyValuesThrow) {
+  // Each of these used to pass validation: `inf` survives every "> 0"
+  // check, and a NaN fails none of them.
+  for (const char* line :
+       {"topology.region_size = inf\n", "topology.region_size = nan\n",
+        "topology.region_size = -inf\n", "topology.comm_range = inf\n",
+        "topology.comm_range = nan\n", "topology.min_separation = nan\n",
+        "topology.mean_data_rate_bps = inf\n",
+        "topology.battery_capacity = inf\n",
+        "topology.class_capacity_ratio = inf\n",
+        "topology.class_rate_ratio = nan\n"}) {
+    std::istringstream in(line);
+    EXPECT_THROW(load_config(in), ConfigError) << line;
+  }
+}
+
 TEST(Config, UnsetKeysKeepDefaults) {
   std::istringstream in("seed = 3\n");
   const ScenarioConfig cfg = load_config(in);

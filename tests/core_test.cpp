@@ -7,9 +7,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <set>
 
 #include "analysis/scenario.hpp"
+#include "common/bitset.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/exact.hpp"
@@ -19,6 +22,7 @@
 #include "core/report.hpp"
 #include "core/route_state.hpp"
 #include "core/tide.hpp"
+#include "net/topology.hpp"
 
 namespace wrsn::csa {
 namespace {
@@ -601,6 +605,93 @@ TEST(Report, NoDetectorsMeansUndetected) {
   const AttackReport report = build_report(network, trace, keys, {});
   EXPECT_FALSE(report.detected);
   EXPECT_EQ(report.keys_dead, 0u);
+}
+
+// Oracle for the report's partition replay: apply the deaths in trace
+// order and run a full connectivity BFS after each one.
+std::optional<Seconds> replay_partition(const net::Network& network,
+                                        const sim::Trace& trace) {
+  Bitmap alive(network.size(), true);
+  for (const sim::DeathRecord& death : trace.deaths) {
+    alive.reset(death.node);
+    if (!net::is_connected(network, alive)) return death.time;
+  }
+  return std::nullopt;
+}
+
+std::optional<Seconds> report_partition(const net::Network& network,
+                                        const sim::Trace& trace) {
+  return build_report(network, trace, {}, {}).partition_time;
+}
+
+TEST(Report, PartitionTimeMatchesPerDeathReplay) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    net::TopologyConfig tcfg;
+    tcfg.node_count = 50;
+    tcfg.comm_range = 24.0;
+    Rng rng(seed);
+    const net::Network network = net::generate_topology(tcfg, rng);
+    // A random death order over a random prefix of a shuffled id list.
+    std::vector<net::NodeId> order(network.size());
+    std::iota(order.begin(), order.end(), net::NodeId{0});
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1],
+                order[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    const auto deaths = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(order.size())));
+    sim::Trace trace;
+    for (std::size_t k = 0; k < deaths; ++k) {
+      trace.deaths.push_back({10.0 * double(k + 1), order[k], false});
+    }
+    EXPECT_EQ(report_partition(network, trace),
+              replay_partition(network, trace))
+        << "seed " << seed;
+  }
+}
+
+TEST(Report, PartitionTimeIsTheFirstDisconnectEvenIfLaterHealed) {
+  // sink - 0 - 1 - 2 - 3, 10 m apart with 12 m radios.
+  std::vector<net::SensorSpec> nodes(4);
+  for (net::NodeId i = 0; i < 4; ++i) {
+    nodes[i].id = i;
+    nodes[i].position = {10.0 * double(i + 1), 0.0};
+  }
+  const net::Network line(std::move(nodes), {0.0, 0.0}, 12.0);
+
+  sim::Trace trace;
+  EXPECT_EQ(report_partition(line, trace), std::nullopt);  // empty trace
+
+  // 2 dies and strands leaf 3; 3's own death heals the graph; nothing after
+  // it disconnects.  The answer is still the first stranding.
+  trace.deaths = {{5.0, 2, false}, {8.0, 3, false}, {9.0, 1, false}};
+  EXPECT_EQ(report_partition(line, trace), std::optional<Seconds>(5.0));
+  EXPECT_EQ(replay_partition(line, trace), std::optional<Seconds>(5.0));
+
+  // A healthy prefix, then a transient partition in the middle.
+  trace.deaths = {{1.0, 3, false}, {2.0, 1, false}, {3.0, 2, false}};
+  EXPECT_EQ(report_partition(line, trace), std::optional<Seconds>(2.0));
+
+  // Partitioned, healed, partitioned again: a replay that stops at the
+  // first connected state it meets going backwards would answer 3.
+  trace.deaths = {{1.0, 2, false}, {2.0, 3, false}, {3.0, 0, false}};
+  EXPECT_EQ(report_partition(line, trace), std::optional<Seconds>(1.0));
+  EXPECT_EQ(replay_partition(line, trace), std::optional<Seconds>(1.0));
+
+  // A node recorded dead twice comes back only at its first record.
+  trace.deaths = {{1.0, 2, false}, {2.0, 2, false}, {3.0, 3, false}};
+  EXPECT_EQ(report_partition(line, trace), std::optional<Seconds>(1.0));
+  EXPECT_EQ(replay_partition(line, trace), std::optional<Seconds>(1.0));
+
+  trace.deaths = {{1.0, 4, false}};
+  EXPECT_THROW(report_partition(line, trace), PreconditionError);
+
+  // Dying from the tail inwards never partitions, down to the empty graph.
+  trace.deaths = {
+      {1.0, 3, false}, {2.0, 2, false}, {3.0, 1, false}, {4.0, 0, false}};
+  EXPECT_EQ(report_partition(line, trace), std::nullopt);
+  EXPECT_EQ(replay_partition(line, trace), std::nullopt);
 }
 
 TEST(AttackParams, Validation) {

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -225,6 +230,164 @@ TEST(Network, RebuildAfterMoveMatchesFreshConstruction) {
                                 fresh.sink_neighbors().end()));
 }
 
+// Oracle for the grid build: the naive O(N^2) pairwise scan, every pair
+// evaluated from both ends with geom::distance.  Rows and lengths must
+// match bit for bit, as must the sink tables.
+void expect_pairwise_adjacency(const Network& net, const char* label) {
+  const Meters r = net.comm_range();
+  std::size_t edges = 0;
+  for (NodeId i = 0; i < net.size(); ++i) {
+    std::vector<NodeId> ids;
+    std::vector<std::uint64_t> bits;
+    for (NodeId j = 0; j < net.size(); ++j) {
+      if (j == i) continue;
+      const Meters d =
+          geom::distance(net.node(i).position, net.node(j).position);
+      if (d <= r) {
+        ids.push_back(j);
+        bits.push_back(std::bit_cast<std::uint64_t>(d));
+      }
+    }
+    const auto row = net.neighbors(i);
+    const auto lengths = net.neighbor_distances(i);
+    ASSERT_EQ(std::vector<NodeId>(row.begin(), row.end()), ids)
+        << label << ": row " << i;
+    ASSERT_EQ(lengths.size(), bits.size());
+    for (std::size_t k = 0; k < bits.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(lengths[k]), bits[k])
+          << label << ": edge " << i << "-" << ids[k];
+    }
+    edges += ids.size();
+
+    const Meters ds = geom::distance(net.node(i).position, net.sink_position());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(net.distance_to_sink(i)),
+              std::bit_cast<std::uint64_t>(ds))
+        << label << ": sink distance " << i;
+    EXPECT_EQ(net.sink_reachable(i), ds <= r) << label << ": sink edge " << i;
+  }
+  EXPECT_EQ(edges % 2, 0u) << label;
+}
+
+std::vector<SensorSpec> specs_at(const std::vector<Vec2>& points) {
+  std::vector<SensorSpec> nodes(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    nodes[i].id = static_cast<NodeId>(i);
+    nodes[i].position = points[i];
+  }
+  return nodes;
+}
+
+TEST(Network, AdjacencyMatchesPairwiseScanWithPlantedBoundaryPairs) {
+  // Random fields with partners planted at exactly comm_range from an
+  // anchor, along the axes and at polar offsets: their squared lengths land
+  // in the band where only hypot can decide, on either side of r.
+  const Meters r = 20.0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    std::vector<Vec2> points;
+    for (int i = 0; i < 150; ++i) {
+      points.push_back({rng.uniform(0.0, 160.0), rng.uniform(0.0, 160.0)});
+    }
+    for (int i = 0; i < 40; ++i) {
+      const Vec2 a{rng.uniform(0.0, 160.0), rng.uniform(0.0, 160.0)};
+      const double theta = rng.uniform(0.0, 2.0 * 3.141592653589793);
+      points.push_back(a);
+      points.push_back(a + Vec2{r, 0.0});
+      points.push_back(a - Vec2{0.0, r});
+      points.push_back(a + Vec2{r * std::cos(theta), r * std::sin(theta)});
+    }
+    // Shuffle so planted partners are not adjacent ids.
+    for (std::size_t i = points.size(); i > 1; --i) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+      std::swap(points[i - 1], points[j]);
+    }
+    const Network net(specs_at(points), {80.0, 80.0}, r);
+    expect_pairwise_adjacency(net, "planted");
+  }
+
+  // The planted axis pairs really sit on the boundary: an exact-r partner
+  // is a neighbour, one ulp further out is not.
+  const Vec2 a{3.0, 7.0};
+  const Vec2 out{std::nextafter(a.x + r, 1e9), a.y};
+  const Network edge(specs_at({a, a + Vec2{r, 0.0}, out}), {0.0, 0.0}, r);
+  expect_pairwise_adjacency(edge, "boundary");
+  EXPECT_EQ(edge.neighbors(0).size(), 1u);
+}
+
+TEST(Network, AdjacencyMatchesPairwiseScanOnDuplicatesAndSingletons) {
+  const Network single(specs_at({{5.0, 5.0}}), {0.0, 0.0}, 10.0);
+  expect_pairwise_adjacency(single, "single");
+  EXPECT_TRUE(single.neighbors(0).empty());
+
+  // Coincident nodes are neighbours at length 0, in ascending id order.
+  const Network dup(
+      specs_at({{1.0, 1.0}, {4.0, 4.0}, {1.0, 1.0}, {1.0, 1.0}, {30.0, 1.0}}),
+      {0.0, 0.0}, 5.0);
+  expect_pairwise_adjacency(dup, "duplicates");
+  ASSERT_EQ(dup.neighbors(0).size(), 3u);
+  EXPECT_EQ(dup.neighbor_distances(0)[1], 0.0);
+
+  // A radius whose square is subnormal: rounding is no longer relative
+  // there, so every pair must go through hypot.
+  Rng rng(3);
+  std::vector<Vec2> tiny;
+  for (int i = 0; i < 60; ++i) {
+    tiny.push_back({rng.uniform(0.0, 4e-160), rng.uniform(0.0, 4e-160)});
+  }
+  // An in-range pair whose subnormal squared length rounds past r^2.
+  tiny.push_back({3e-160, 2e-160});
+  tiny.push_back({3.148286952767903e-160, 2.9889442801328549e-160});
+  const Network small(specs_at(tiny), {0.0, 0.0}, 1e-160);
+  expect_pairwise_adjacency(small, "subnormal band");
+  EXPECT_EQ(small.neighbors(60).back(), 61u);
+}
+
+TEST(Network, AdjacencyMatchesPairwiseScanWhenCellsAreCapped) {
+  // 30 clumps of 3 nodes spread over a 1e6 m square with 10 m radios: the
+  // comm_range grid would need ~1e10 cells, so the build doubles the cell
+  // side until the grid fits in ~4N cells and scans wide cells instead.
+  Rng rng(77);
+  std::vector<Vec2> points;
+  for (int c = 0; c < 30; ++c) {
+    const Vec2 centre{rng.uniform(0.0, 1e6), rng.uniform(0.0, 1e6)};
+    points.push_back(centre);
+    points.push_back(centre + Vec2{10.0, 0.0});
+    points.push_back(centre + Vec2{rng.uniform(-9.0, 9.0), 6.0});
+  }
+  const Network net(specs_at(points), {5e5, 5e5}, 10.0);
+  expect_pairwise_adjacency(net, "capped");
+}
+
+TEST(Network, AdjacencyMatchesPairwiseScanAfterRebuild) {
+  TopologyConfig cfg;
+  cfg.node_count = 120;
+  cfg.comm_range = 22.0;
+  Rng rng(59);
+  Network net = generate_topology(cfg, rng);
+  expect_pairwise_adjacency(net, "generated");
+  Rng move_rng(5);
+  for (NodeId id = 0; id < net.size(); id += 2) {
+    const Vec2 p = net.node(id).position;
+    net.set_position(id, (id % 4 == 0)
+                             ? net.node(id + 1).position + Vec2{0.0, 22.0}
+                             : Vec2{move_rng.uniform(0.0, 100.0), p.y});
+  }
+  net.rebuild_adjacency();
+  expect_pairwise_adjacency(net, "rebuilt");
+}
+
+TEST(Network, RejectsNonFinitePositions) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Network(specs_at({{0.0, 0.0}, {inf, 1.0}}), {0, 0}, 10.0),
+               PreconditionError);
+  EXPECT_THROW(Network(specs_at({{nan, 0.0}}), {0, 0}, 10.0),
+               PreconditionError);
+  Network net = make_line(3);
+  EXPECT_THROW(net.set_position(1, {0.0, -inf}), PreconditionError);
+}
+
 TEST(Coverage, CountsMatchBruteForce) {
   TopologyConfig cfg;
   cfg.node_count = 60;
@@ -312,6 +475,39 @@ TEST(Topology, ConfigValidation) {
   cfg = TopologyConfig{};
   cfg.class_rate_ratio = -1.0;
   EXPECT_THROW(cfg.validate(), ConfigError);
+}
+
+TEST(Topology, ConfigRejectsNonFiniteValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<void (*)(TopologyConfig&, double)> setters = {
+      [](TopologyConfig& c, double v) { c.region.lo.x = v; },
+      [](TopologyConfig& c, double v) { c.region.lo.y = v; },
+      [](TopologyConfig& c, double v) { c.region.hi.x = v; },
+      [](TopologyConfig& c, double v) { c.region.hi.y = v; },
+      [](TopologyConfig& c, double v) { c.comm_range = v; },
+      [](TopologyConfig& c, double v) { c.min_separation = v; },
+      [](TopologyConfig& c, double v) { c.mean_data_rate_bps = v; },
+      [](TopologyConfig& c, double v) { c.battery_capacity = v; },
+      [](TopologyConfig& c, double v) { c.cluster_sigma_fraction = v; },
+      [](TopologyConfig& c, double v) { c.cluster_background_fraction = v; },
+      [](TopologyConfig& c, double v) { c.class_capacity_ratio = v; },
+      [](TopologyConfig& c, double v) { c.class_rate_ratio = v; },
+      [](TopologyConfig& c, double v) { c.sink_position.x = v; },
+      [](TopologyConfig& c, double v) { c.sink_position.y = v; },
+  };
+  for (std::size_t k = 0; k < setters.size(); ++k) {
+    for (const double bad : {inf, -inf, nan}) {
+      TopologyConfig cfg;
+      setters[k](cfg, bad);
+      EXPECT_THROW(cfg.validate(), ConfigError) << "field " << k;
+    }
+  }
+  // The whole-region case that used to crash generation outright.
+  TopologyConfig cfg;
+  cfg.region = {{0.0, 0.0}, {inf, inf}};
+  Rng rng(1);
+  EXPECT_THROW(generate_topology(cfg, rng), ConfigError);
 }
 
 TEST(Topology, DeterministicForSameSeed) {
@@ -478,6 +674,118 @@ TEST(KeyNodes, TarjanMatchesBruteForce) {
       const bool disconnects = connected < base - 1;
       EXPECT_EQ(cut_set.count(id) > 0, disconnects)
           << "seed " << seed << " node " << id;
+    }
+  }
+}
+
+// Brute-force oracles for the key-node survey over an alive mask: a node's
+// disconnect count is how many other alive nodes lose the sink when it
+// dies; a cut vertex is one whose death splits its component of the alive
+// graph plus the sink.
+std::size_t brute_disconnects(const Network& net, const Bitmap& alive,
+                              NodeId v) {
+  Bitmap without = alive;
+  without.reset(v);
+  const std::size_t lost =
+      count_sink_connected(net, alive) - count_sink_connected(net, without);
+  return lost > 0 ? lost - 1 : 0;
+}
+
+std::size_t component_count(const Network& net, const Bitmap& alive) {
+  const std::size_t sink = net.size();
+  std::vector<bool> seen(net.size() + 1, false);
+  std::size_t components = 0;
+  for (std::size_t root = 0; root <= sink; ++root) {
+    if (seen[root] || (root < sink && !alive.test(root))) continue;
+    ++components;
+    std::vector<std::size_t> todo{root};
+    seen[root] = true;
+    while (!todo.empty()) {
+      const std::size_t v = todo.back();
+      todo.pop_back();
+      std::vector<std::size_t> next;
+      if (v == sink) {
+        next.assign(net.sink_neighbors().begin(), net.sink_neighbors().end());
+      } else {
+        next.assign(net.neighbors(NodeId(v)).begin(),
+                    net.neighbors(NodeId(v)).end());
+        if (net.sink_reachable(NodeId(v))) next.push_back(sink);
+      }
+      for (const std::size_t u : next) {
+        if (seen[u] || (u < sink && !alive.test(u))) continue;
+        seen[u] = true;
+        todo.push_back(u);
+      }
+    }
+  }
+  return components;
+}
+
+void expect_survey_matches_brute_force(const Network& net,
+                                       const Bitmap& alive,
+                                       const std::string& label) {
+  const auto ranked = rank_key_nodes(net, TrafficLoads{}, alive);
+  ASSERT_EQ(ranked.size(), alive.count()) << label;
+  for (const KeyNodeInfo& info : ranked) {
+    EXPECT_EQ(info.disconnect_count, brute_disconnects(net, alive, info.id))
+        << label << " node " << info.id;
+  }
+  const auto cuts = articulation_points(net, alive);
+  const std::set<NodeId> cut_set(cuts.begin(), cuts.end());
+  const std::size_t base = component_count(net, alive);
+  for (NodeId v = 0; v < net.size(); ++v) {
+    if (!alive.test(v)) continue;
+    Bitmap without = alive;
+    without.reset(v);
+    // Removing an isolated vertex drops a component; a cut adds at least one.
+    EXPECT_EQ(cut_set.count(v) > 0, component_count(net, without) > base)
+        << label << " node " << v;
+  }
+}
+
+TEST(KeyNodes, DisconnectCountsMatchBruteForceUnderAliveMasks) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    TopologyConfig cfg;
+    cfg.node_count = 70;
+    cfg.comm_range = 22.0;
+    Rng rng(seed);
+    const Network net = generate_topology(cfg, rng);
+    Bitmap alive(net.size(), true);
+    expect_survey_matches_brute_force(net, alive, "all alive");
+    // Kill a growing random share: stranded components appear, some with
+    // internal cut vertices that disconnect nothing from the sink.
+    Rng kill_rng(seed * 1000);
+    for (int round = 0; round < 4; ++round) {
+      for (int k = 0; k < 6; ++k) {
+        alive.reset(static_cast<NodeId>(kill_rng.uniform_int(
+            0, static_cast<std::int64_t>(net.size()) - 1)));
+      }
+      expect_survey_matches_brute_force(
+          net, alive, "seed " + std::to_string(seed) + " round " +
+                          std::to_string(round));
+    }
+  }
+}
+
+TEST(KeyNodes, SinkAdjacentCutAndStrandedChain) {
+  // sink - 0 - 1 - 2 and a detached chain 3 - 4 - 5 far away: node 0 is a
+  // sink-adjacent cut, node 4 is a cut of a component with no sink path.
+  std::vector<SensorSpec> nodes(6);
+  const Vec2 at[] = {{10, 0}, {20, 0}, {30, 0}, {100, 0}, {110, 0}, {120, 0}};
+  for (NodeId i = 0; i < 6; ++i) {
+    nodes[i].id = i;
+    nodes[i].position = at[i];
+  }
+  const Network net(std::move(nodes), {0.0, 0.0}, 12.0);
+  const auto ranked = rank_key_nodes(net, TrafficLoads{});
+  ASSERT_EQ(ranked[0].id, 0u);
+  EXPECT_EQ(ranked[0].disconnect_count, 2u);
+  const auto cuts = articulation_points(net);
+  EXPECT_EQ(cuts, (std::vector<NodeId>{0, 1, 4}));
+  expect_survey_matches_brute_force(net, Bitmap(6, true), "hand-built");
+  for (const KeyNodeInfo& info : ranked) {
+    if (info.id >= 3) {
+      EXPECT_EQ(info.disconnect_count, 0u);
     }
   }
 }

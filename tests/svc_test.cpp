@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <unistd.h>
@@ -815,6 +816,39 @@ TEST(MissionServer, JsonAndBinaryClientsMatchDirectExecution) {
   EXPECT_EQ(json_client.call(1, repro).status, MissionStatus::kOk);
 
   EXPECT_EQ(server.connections(), 2u);
+  server.stop();
+}
+
+TEST(MissionServer, NonFiniteTopologyIsInvalidAndServerKeepsServing) {
+  MissionService service(quick_options());
+  const std::string path = test_socket_path("nonfinite");
+  MissionServer server(service, path);
+  server.start();
+
+  // An infinite or NaN region once crashed the whole process inside
+  // topology generation, before the service could map the error to a
+  // status.  Both framings must now answer kInvalid and stay usable.
+  MissionClient json_client(path, /*binary=*/false);
+  MissionClient binary_client(path, /*binary=*/true);
+  for (const char* side : {"inf", "nan", "-inf"}) {
+    analysis::FuzzOverrides o = analysis::parse_repro(quick_repro(41));
+    o["topology.region_size"] = side;
+    const std::string repro = analysis::format_repro(o);
+    EXPECT_EQ(json_client.call(1, repro).status, MissionStatus::kInvalid)
+        << side;
+    EXPECT_EQ(binary_client.call(2, repro).status, MissionStatus::kInvalid)
+        << side;
+  }
+  EXPECT_EQ(json_client.call(3, quick_repro(41)).status, MissionStatus::kOk);
+  EXPECT_EQ(binary_client.call(4, quick_repro(42)).status, MissionStatus::kOk);
+
+  // A request built in process skips the decoder's validation and reaches
+  // execution; run_mission's own validation must still reject it.
+  MissionRequest request = quick_request(43);
+  request.config.topology.region.hi = {
+      std::numeric_limits<double>::infinity(), 160.0};
+  EXPECT_EQ(service.submit(request).status, MissionStatus::kInvalid);
+  EXPECT_EQ(service.submit(quick_request(43)).status, MissionStatus::kOk);
   server.stop();
 }
 

@@ -1,6 +1,7 @@
 // Event-kernel and world-update performance: the cost of death cascades
 // under the incremental (Fast) updater versus the full-rebuild Reference
-// path, the kernel's schedule/cancel churn rate, an end-to-end fig5
+// path, routing repair replayed over a benign mission's deaths, the
+// kernel's schedule/cancel churn rate, an end-to-end fig5
 // exhaustion trial under both modes, the whole-network graph stages
 // (topology generation, key-node survey, post-mission report), and whole
 // attack/benign missions at N = 100 / 1.6k / 10k (BM_Mission).
@@ -8,13 +9,17 @@
 // Reproduce with bench/run_benchmarks.sh, which records the JSON trajectory
 // in BENCH_sim.json (see EXPERIMENTS.md).  The headline criterion: the Fast
 // world processes a full starvation collapse at N=400 at least 5x faster
-// than Reference — deaths cost O(affected subtree), not O(N log N) plus a
-// reschedule of every survivor.
+// than Reference — a death costs a Dijkstra over the dead node's routing
+// subtree plus linear passes, not an O(N log N) rebuild plus a reschedule
+// of every survivor.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string_view>
 #include <vector>
 
@@ -48,6 +53,29 @@ net::Network cascade_network(std::size_t n) {
   topo.comm_range = comm_range_for(n);
   Rng rng(42);
   return net::generate_topology(topo, rng);
+}
+
+// The BM_Mission configuration: the calibrated density (a 40*sqrt(N) m
+// square field, comm_range_for(N) radios), depot at the field centre, 120 h,
+// seed 42.  At N = 10k this is perfbench's benign-10k geometry.
+analysis::ScenarioConfig mission_config(std::size_t n) {
+  analysis::ScenarioConfig cfg = analysis::default_scenario();
+  const double side = 40.0 * std::sqrt(double(n));
+  cfg.topology.node_count = n;
+  cfg.topology.region = {{0.0, 0.0}, {side, side}};
+  cfg.topology.comm_range = comm_range_for(n);
+  cfg.horizon = 120 * 3'600.0;
+  cfg.attack.campaign_deadline = cfg.horizon;
+  cfg.attack.charger.depot = {side / 2.0, side / 2.0};
+  cfg.benign.charger.depot = cfg.attack.charger.depot;
+  cfg.seed = 42;
+  return cfg;
+}
+
+// The deployment run_mission generates for `cfg`.
+net::Network mission_network(const analysis::ScenarioConfig& cfg) {
+  Rng topo_rng = Rng(cfg.seed).fork("topology");
+  return net::generate_topology(cfg.topology, topo_rng);
 }
 
 // Topology generation at scale: placement with the separation index, then
@@ -127,19 +155,10 @@ BENCHMARK(BM_KeyNodeSurvey)
 // once, outside the timing; its network is regenerated from the same seed.
 void BM_BuildReport(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  analysis::ScenarioConfig cfg = analysis::default_scenario();
-  const double side = 40.0 * std::sqrt(double(n));
-  cfg.topology.node_count = n;
-  cfg.topology.region = {{0.0, 0.0}, {side, side}};
-  cfg.topology.comm_range = comm_range_for(n);
-  cfg.horizon = 120 * 3'600.0;
-  cfg.benign.charger.depot = {side / 2.0, side / 2.0};
-  cfg.seed = 42;
+  const analysis::ScenarioConfig cfg = mission_config(n);
   const analysis::ScenarioResult mission =
       analysis::run_mission(cfg, analysis::ChargerMode::Benign);
-  Rng topo_rng = Rng(cfg.seed).fork("topology");
-  const net::Network network =
-      net::generate_topology(cfg.topology, topo_rng);
+  const net::Network network = mission_network(cfg);
   bool partitioned = false;
   for (auto _ : state) {
     const csa::AttackReport report = csa::build_report(
@@ -202,6 +221,110 @@ BENCHMARK(BM_WorldDeathCascade)
     // The 10k frontier row: an entire deployment-scale collapse on the Fast
     // path — grid adjacency, SoA lanes, and subtree repair at target size.
     ->Args({10'000, 0})
+    ->Unit(benchmark::kMillisecond);
+
+// Size of `dead`'s routing subtree, excluding `dead` itself (one pass over
+// the parent-before-child settle order).
+std::size_t subtree_size(const net::RoutingTree& tree, net::NodeId dead) {
+  std::vector<char> in_subtree(tree.parent.size(), 0);
+  in_subtree[dead] = 1;
+  std::size_t size = 0;
+  for (const net::NodeId u : tree.settle_order) {
+    const net::NodeId p = tree.parent[u];
+    if (u != dead && p != net::kInvalidNode && in_subtree[p] != 0) {
+      in_subtree[u] = 1;
+      ++size;
+    }
+  }
+  return size;
+}
+
+// Bitwise equality of every field of two routing trees.
+bool same_tree(const net::RoutingTree& a, const net::RoutingTree& b) {
+  const auto same_bits = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    if (x.size() != y.size()) return false;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (std::bit_cast<std::uint64_t>(x[i]) !=
+          std::bit_cast<std::uint64_t>(y[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  return a.parent == b.parent && a.reachable == b.reachable &&
+         a.settle_order == b.settle_order &&
+         same_bits(a.path_cost, b.path_cost) &&
+         same_bits(a.uplink_distance, b.uplink_distance);
+}
+
+// Routing repair under a real mission's death pattern.  Outside the timing,
+// one benign BM_Mission run (perfbench's benign-10k geometry at N = 10k)
+// records its death sequence; the timed region replays it on a fresh Fast
+// World through inject_hardware_failure, so each death pays exactly the
+// routing repair, loads/drains refresh and drain-diff rescheduling the
+// mission paid.  Relays near the sink drain first, so these deaths hit
+// large routing subtrees — unlike the cascade rows, whose deaths mostly
+// hit unreachable leaves.  After every replay the world's tree must equal
+// a fresh rebuild over the final alive mask, or the binary aborts.
+// Counters: deaths replayed, repairs, full rebuilds, and the mean routing
+// subtree size (excluding the dead node) over deaths of reachable nodes.
+void BM_WorldRepairReplay(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const analysis::ScenarioConfig cfg = mission_config(n);
+  const net::Network network = mission_network(cfg);
+  std::vector<net::NodeId> deaths;
+  for (const sim::DeathRecord& death :
+       analysis::run_mission(cfg, analysis::ChargerMode::Benign)
+           .trace.deaths) {
+    deaths.push_back(death.node);
+  }
+
+  std::size_t reachable_deaths = 0;
+  std::size_t subtree_total = 0;
+  {
+    sim::Simulator sim;
+    sim::World world(sim, network, cfg.world, Rng(7));
+    for (const net::NodeId id : deaths) {
+      if (world.routing().reachable[id]) {
+        ++reachable_deaths;
+        subtree_total += subtree_size(world.routing(), id);
+      }
+      world.inject_hardware_failure(id);
+    }
+  }
+
+  sim::WorldUpdateStats stats;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator sim;
+    sim::World world(sim, network, cfg.world, Rng(7));
+    state.ResumeTiming();
+    for (const net::NodeId id : deaths) world.inject_hardware_failure(id);
+    benchmark::DoNotOptimize(world.alive_count());
+    state.PauseTiming();
+    if (!same_tree(world.routing(),
+                   net::build_routing_tree(network, world.alive_mask(),
+                                           cfg.world.routing))) {
+      std::fprintf(stderr,
+                   "BM_WorldRepairReplay: repaired tree differs from a "
+                   "full rebuild\n");
+      std::abort();
+    }
+    stats = world.update_stats();
+    state.ResumeTiming();
+  }
+  state.counters["deaths"] = double(deaths.size());
+  state.counters["repairs"] = double(stats.repairs);
+  state.counters["rebuilds"] = double(stats.rebuilds);
+  state.counters["mean_subtree"] =
+      reachable_deaths > 0 ? double(subtree_total) / double(reachable_deaths)
+                           : 0.0;
+}
+BENCHMARK(BM_WorldRepairReplay)
+    ->ArgName("nodes")
+    ->Arg(1'600)
+    ->Arg(10'000)
     ->Unit(benchmark::kMillisecond);
 
 // Kernel churn: steady-state schedule/cancel pressure with `range` live
@@ -336,18 +459,9 @@ void BM_Mission(benchmark::State& state) {
   const bool attack = state.range(0) != 0;
   const auto n = static_cast<std::size_t>(state.range(1));
   const auto fleet = static_cast<std::size_t>(state.range(2));
-  analysis::ScenarioConfig cfg = analysis::default_scenario();
-  const double side = 40.0 * std::sqrt(double(n));
-  cfg.topology.node_count = n;
-  cfg.topology.region = {{0.0, 0.0}, {side, side}};
-  cfg.topology.comm_range = comm_range_for(n);
-  cfg.horizon = 120 * 3'600.0;
-  cfg.attack.campaign_deadline = cfg.horizon;
-  cfg.attack.charger.depot = {side / 2.0, side / 2.0};
-  cfg.benign.charger.depot = cfg.attack.charger.depot;
+  analysis::ScenarioConfig cfg = mission_config(n);
   cfg.fleet_size = fleet;
   cfg.fleet_compromised = 0;
-  cfg.seed = 42;
   const analysis::ChargerMode mode = attack ? analysis::ChargerMode::Attack
                                             : analysis::ChargerMode::Benign;
   std::uint64_t events = 0;

@@ -14,30 +14,75 @@ bool alive_or_all(const Bitmap& alive, NodeId id) {
   return alive.empty() || alive.test(id);
 }
 
-using FrontierEntry = std::pair<double, NodeId>;  // (cost, node), min-heap
-
-void frontier_push(std::vector<FrontierEntry>& heap, FrontierEntry entry) {
-  heap.push_back(entry);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-}
-
-FrontierEntry frontier_pop(std::vector<FrontierEntry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-  const FrontierEntry entry = heap.back();
-  heap.pop_back();
-  return entry;
-}
-
 }  // namespace
 
-void RoutingScratch::reserve(std::size_t n, std::size_t edges) {
-  heap.reserve(edges + n + 1);
-  settled.assign(n, false);
+void FrontierHeap::reset(std::size_t n) {
+  for (const Entry& entry : heap_) slot_[entry.id] = kNotQueued;
+  heap_.clear();
+  heap_.reserve(n);
+  if (slot_.size() != n) slot_.assign(n, kNotQueued);
+}
+
+void FrontierHeap::push_or_decrease(NodeId id, double cost) {
+  std::uint32_t i = slot_[id];
+  if (i == kNotQueued) {
+    i = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back({cost, id});
+  } else {
+    WRSN_ASSERT(cost <= heap_[i].cost);
+    heap_[i].cost = cost;
+  }
+  sift_up(i);
+}
+
+FrontierHeap::Entry FrontierHeap::pop() {
+  WRSN_ASSERT(!heap_.empty());
+  const Entry top = heap_.front();
+  slot_[top.id] = kNotQueued;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    place(0, last);
+    sift_down(0);
+  }
+  return top;
+}
+
+void FrontierHeap::sift_up(std::size_t i) {
+  const Entry item = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!before(item, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, item);
+}
+
+void FrontierHeap::sift_down(std::size_t i) {
+  const std::size_t n = heap_.size();
+  const Entry item = heap_[i];
+  while (true) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t last = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], item)) break;
+    place(i, heap_[best]);
+    i = best;
+  }
+  place(i, item);
+}
+
+void RoutingScratch::reserve(std::size_t n) {
+  frontier.reset(n);
   affected.reserve(n);
   affected_ids.reserve(n);
   repaired_order.reserve(n);
   merged_order.reserve(n);
-  children.reserve(n);
 }
 
 void rebuild_routing_tree(const Network& network, const Bitmap& alive,
@@ -53,8 +98,8 @@ void rebuild_routing_tree(const Network& network, const Bitmap& alive,
   tree.path_cost.assign(n, kInf);
   tree.settle_order.clear();
 
-  std::vector<FrontierEntry>& heap = scratch.heap;
-  heap.clear();
+  FrontierHeap& frontier = scratch.frontier;
+  frontier.reset(n);
 
   // Seed with direct sink uplinks.
   for (const NodeId id : network.sink_neighbors()) {
@@ -64,29 +109,27 @@ void rebuild_routing_tree(const Network& network, const Bitmap& alive,
     if (cost < tree.path_cost[id]) {
       tree.path_cost[id] = cost;
       tree.uplink_distance[id] = d;
-      frontier_push(heap, {cost, id});
+      frontier.push_or_decrease(id, cost);
     }
   }
 
-  scratch.settled.assign(n, false);
-  while (!heap.empty()) {
-    const auto [cost, u] = frontier_pop(heap);
-    if (scratch.settled[u] || cost > tree.path_cost[u]) continue;
-    scratch.settled.set(u);
+  // `reachable` doubles as the settled mark.
+  while (!frontier.empty()) {
+    const auto [cost, u] = frontier.pop();
     tree.reachable.set(u);
     tree.settle_order.push_back(u);
     const auto nbrs = network.neighbors(u);
     const auto dist = network.neighbor_distances(u);
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
       const NodeId v = nbrs[k];
-      if (!alive_or_all(alive, v) || scratch.settled[v]) continue;
+      if (!alive_or_all(alive, v) || tree.reachable[v]) continue;
       const Meters d = dist[k];
       const double next = cost + params.hop_cost + d * d;
       if (next < tree.path_cost[v]) {
         tree.path_cost[v] = next;
         tree.parent[v] = u;
         tree.uplink_distance[v] = d;
-        frontier_push(heap, {next, v});
+        frontier.push_or_decrease(v, next);
       }
     }
   }
@@ -100,10 +143,11 @@ RoutingTree build_routing_tree(const Network& network, const Bitmap& alive,
   return tree;
 }
 
-bool repair_routing_after_death(const Network& network, const Bitmap& alive,
-                                const RoutingParams& params, NodeId dead,
-                                RoutingTree& tree, RoutingScratch& scratch,
-                                double max_affected_fraction) {
+std::size_t repair_routing_after_death(const Network& network,
+                                       const Bitmap& alive,
+                                       const RoutingParams& params,
+                                       NodeId dead, RoutingTree& tree,
+                                       RoutingScratch& scratch) {
   const std::size_t n = network.size();
   WRSN_REQUIRE(tree.parent.size() == n, "tree does not match network");
   WRSN_REQUIRE(alive.size() == n, "repair requires an explicit alive mask");
@@ -114,7 +158,7 @@ bool repair_routing_after_death(const Network& network, const Bitmap& alive,
     tree.parent[dead] = kInvalidNode;
     tree.uplink_distance[dead] = 0.0;
     tree.path_cost[dead] = kInf;
-    return true;
+    return 0;
   }
 
   // 1. Affected set = the dead node's routing subtree.  settle_order is a
@@ -130,11 +174,9 @@ bool repair_routing_after_death(const Network& network, const Bitmap& alive,
       scratch.affected_ids.push_back(u);
     }
   }
-  const std::size_t reachable_count = tree.settle_order.size();
-  if (double(scratch.affected_ids.size() + 1) >
-      max_affected_fraction * double(reachable_count)) {
-    return false;  // big blast radius: a full rebuild is cheaper
-  }
+  // From here on the mask holds the subtree only: the dead node is skipped
+  // like any node outside it.
+  scratch.affected[dead] = 0;
 
   // 2. Detach the subtree (and the dead node) back to the unreachable state.
   tree.reachable.reset(dead);
@@ -149,11 +191,12 @@ bool repair_routing_after_death(const Network& network, const Bitmap& alive,
   }
 
   // 3. Seed each subtree node from the surviving frontier: its best direct
-  // sink uplink or unaffected settled neighbour.  Paths through unaffected
-  // nodes cannot improve (removing a node never shortens a path), so the
-  // repair Dijkstra only needs to relax edges inside the affected set.
-  std::vector<FrontierEntry>& heap = scratch.heap;
-  heap.clear();
+  // sink uplink or unaffected settled neighbour — after the detach, exactly
+  // the reachable ones.  Paths through unaffected nodes cannot improve
+  // (removing a node never shortens a path), so the repair Dijkstra only
+  // needs to relax edges inside the affected set.
+  FrontierHeap& frontier = scratch.frontier;
+  frontier.reset(n);
   for (const NodeId u : scratch.affected_ids) {
     double best = kInf;
     NodeId best_parent = kInvalidNode;
@@ -167,9 +210,7 @@ bool repair_routing_after_death(const Network& network, const Bitmap& alive,
     const auto dist = network.neighbor_distances(u);
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
       const NodeId v = nbrs[k];
-      if (!alive[v] || scratch.affected[v] != 0 || !tree.reachable[v]) {
-        continue;
-      }
+      if (!tree.reachable[v]) continue;
       const Meters d = dist[k];
       const double cost = tree.path_cost[v] + params.hop_cost + d * d;
       if (cost < best) {
@@ -182,32 +223,29 @@ bool repair_routing_after_death(const Network& network, const Bitmap& alive,
       tree.path_cost[u] = best;
       tree.parent[u] = best_parent;
       tree.uplink_distance[u] = best_distance;
-      frontier_push(heap, {best, u});
+      frontier.push_or_decrease(u, best);
     }
   }
 
   // 4. Dijkstra restricted to the affected set; `reachable` doubles as the
   // settled mark (unaffected nodes are settled by construction).
   scratch.repaired_order.clear();
-  while (!heap.empty()) {
-    const auto [cost, u] = frontier_pop(heap);
-    if (tree.reachable[u] || cost > tree.path_cost[u]) continue;
+  while (!frontier.empty()) {
+    const auto [cost, u] = frontier.pop();
     tree.reachable.set(u);
     scratch.repaired_order.push_back(u);
     const auto nbrs = network.neighbors(u);
     const auto dist = network.neighbor_distances(u);
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
       const NodeId v = nbrs[k];
-      if (!alive[v] || scratch.affected[v] == 0 || tree.reachable[v]) {
-        continue;
-      }
+      if (scratch.affected[v] == 0 || tree.reachable[v]) continue;
       const Meters d = dist[k];
       const double next = cost + params.hop_cost + d * d;
       if (next < tree.path_cost[v]) {
         tree.path_cost[v] = next;
         tree.parent[v] = u;
         tree.uplink_distance[v] = d;
-        frontier_push(heap, {next, v});
+        frontier.push_or_decrease(v, next);
       }
     }
   }
@@ -235,7 +273,7 @@ bool repair_routing_after_death(const Network& network, const Bitmap& alive,
   }
   while (it != end) scratch.merged_order.push_back(*it++);
   tree.settle_order.swap(scratch.merged_order);
-  return true;
+  return scratch.affected_ids.size() + 1;
 }
 
 void recompute_loads(const Network& network, const RoutingTree& tree,
@@ -266,72 +304,6 @@ TrafficLoads compute_loads(const Network& network, const RoutingTree& tree,
   TrafficLoads loads;
   recompute_loads(network, tree, alive, loads);
   return loads;
-}
-
-void update_loads_after_repair(const Network& network, const RoutingTree& tree,
-                               const NodeId dead, const NodeId old_parent,
-                               RoutingScratch& scratch, TrafficLoads& loads,
-                               std::vector<NodeId>& touched) {
-  const std::size_t n = network.size();
-  WRSN_REQUIRE(loads.tx_bps.size() == n && loads.rx_bps.size() == n,
-               "loads do not match network");
-
-  // Touched set = the nodes whose aggregated traffic can differ from before
-  // the death: the dead node, its old subtree (scratch.affected, still set
-  // from the repair), and — since a changed transmit rate propagates to the
-  // parent — the ancestor chain above every new attachment point.  Parents
-  // of unaffected nodes are unaffected (the affected set is closed under
-  // "child of"), so each chain stays outside the subtree and the walk stops
-  // at the first node already marked.
-  touched.push_back(dead);
-  for (const NodeId u : scratch.affected_ids) touched.push_back(u);
-  const auto walk_chain = [&](NodeId x) {
-    while (x != kInvalidNode && scratch.affected[x] == 0) {
-      scratch.affected[x] = 1;
-      touched.push_back(x);
-      x = tree.parent[x];
-    }
-  };
-  walk_chain(old_parent);
-  for (const NodeId u : scratch.repaired_order) walk_chain(tree.parent[u]);
-
-  // Recompute the touched nodes leaves-first in descending (path_cost, id):
-  // with strictly positive edge costs the settle order IS ascending
-  // (path_cost, id) — the assumption the repair's settle-order merge already
-  // makes — so this is exactly the full reverse settle-order walk restricted
-  // to the touched set, and every floating-point sum is reproduced in the
-  // same order.  Unreachable cost is +inf, so detached nodes sort first and
-  // are simply zeroed.
-  const auto greater_by_cost = [&tree](NodeId a, NodeId b) {
-    if (tree.path_cost[a] != tree.path_cost[b]) {
-      return tree.path_cost[a] > tree.path_cost[b];
-    }
-    return a > b;
-  };
-  std::sort(touched.begin(), touched.end(), greater_by_cost);
-  for (const NodeId u : touched) {
-    if (!tree.reachable[u]) {
-      loads.tx_bps[u] = 0.0;
-      loads.rx_bps[u] = 0.0;
-      continue;
-    }
-    // A child not in the touched set kept its old (still bitwise-valid)
-    // transmit rate; touched children were recomputed above (they sort
-    // strictly before their parent).
-    scratch.children.clear();
-    for (const NodeId v : network.neighbors(u)) {
-      if (tree.parent[v] == u && tree.reachable[v]) {
-        scratch.children.push_back(v);
-      }
-    }
-    std::sort(scratch.children.begin(), scratch.children.end(),
-              greater_by_cost);
-    double rx = 0.0;
-    for (const NodeId c : scratch.children) rx += loads.tx_bps[c];
-    loads.rx_bps[u] = rx;
-    loads.tx_bps[u] = rx + network.node(u).data_rate_bps;
-  }
-  std::sort(touched.begin(), touched.end());
 }
 
 void recompute_drain_rates(const Network& network, const RoutingTree& tree,

@@ -14,11 +14,15 @@
 //     recompute_drain_rates) refill caller-owned buffers through a reusable
 //     RoutingScratch, so steady-state rebuilds allocate nothing, and
 //     repair_routing_after_death patches an existing tree after a single
-//     node death by re-running Dijkstra only over the dead node's routing
-//     subtree (the only region whose shortest paths can change).
+//     node death.  The repair re-runs Dijkstra only over the dead node's
+//     routing subtree (the only region whose shortest paths can change),
+//     but finding that subtree and merging the settle order are linear
+//     passes over the tree, and the loads and drains that follow are a
+//     full recompute_loads + recompute_drain_rates: a death costs the
+//     subtree's Dijkstra plus O(N) linear passes.
 #pragma once
 
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -50,20 +54,57 @@ struct RoutingTree {
   std::vector<double> path_cost;
 };
 
+/// Dijkstra frontier: an indexed 4-ary min-heap of node ids keyed by
+/// (cost, id), the same total order a full rebuild settles in.  Each queued
+/// node's heap slot is tracked, so a relaxation lowers the node's key in
+/// place (decrease-key) instead of queueing a duplicate: the heap holds at
+/// most one entry per node and pops no stale ones.
+class FrontierHeap {
+ public:
+  struct Entry {
+    double cost;
+    NodeId id;
+  };
+
+  /// Empties the heap and sizes the slot index for ids below `n`.
+  void reset(std::size_t n);
+  bool empty() const { return heap_.empty(); }
+  /// Queues `id` at `cost`, or lowers its key to `cost` when it is already
+  /// queued (`cost` must not exceed the queued cost).
+  void push_or_decrease(NodeId id, double cost);
+  /// Removes and returns the entry with the smallest (cost, id).
+  Entry pop();
+
+ private:
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    return a.id < b.id;
+  }
+  void place(std::size_t i, const Entry& entry) {
+    heap_[i] = entry;
+    slot_[entry.id] = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+
+  std::vector<Entry> heap_;
+  std::vector<std::uint32_t> slot_;  ///< heap index per id, or kNotQueued
+};
+
 /// Reusable working memory for routing rebuilds and repairs.  Keeping one of
 /// these per World means zero allocations per rebuild after warmup.
 struct RoutingScratch {
-  std::vector<std::pair<double, NodeId>> heap;  ///< Dijkstra frontier
-  Bitmap settled;                               ///< full-rebuild settle marks
-  std::vector<char> affected;                   ///< repair: subtree mask
-  std::vector<NodeId> affected_ids;             ///< repair: subtree members
-  std::vector<NodeId> repaired_order;           ///< repair: re-settle order
-  std::vector<NodeId> merged_order;             ///< repair: merged settle order
-  std::vector<NodeId> children;                 ///< loads update: child sort
+  FrontierHeap frontier;               ///< Dijkstra frontier
+  std::vector<char> affected;          ///< repair: subtree mask
+  std::vector<NodeId> affected_ids;    ///< repair: subtree members
+  std::vector<NodeId> repaired_order;  ///< repair: re-settle order
+  std::vector<NodeId> merged_order;    ///< repair: merged settle order
 
-  /// Pre-sizes every buffer for a network of `n` nodes with `edges` adjacency
-  /// entries (directed count), so later rebuilds never allocate.
-  void reserve(std::size_t n, std::size_t edges);
+  /// Pre-sizes every buffer for a network of `n` nodes, so later rebuilds
+  /// and repairs never allocate.
+  void reserve(std::size_t n);
 };
 
 /// Builds the routing tree over nodes with `alive[id]` set (empty = all).
@@ -80,14 +121,16 @@ void rebuild_routing_tree(const Network& network, const Bitmap& alive,
 /// Patches `tree` in place after node `dead` (already cleared in `alive`)
 /// died, by re-running Dijkstra over the dead node's routing subtree seeded
 /// from the surviving frontier.  Produces the same tree a full rebuild would
-/// (identical parents, costs, and settle order, up to exact-cost ties).
-/// Returns false without touching `tree` when the affected subtree exceeds
-/// `max_affected_fraction` of the reachable nodes — the caller should fall
-/// back to rebuild_routing_tree, which is cheaper at that size.
-bool repair_routing_after_death(const Network& network, const Bitmap& alive,
-                                const RoutingParams& params, NodeId dead,
-                                RoutingTree& tree, RoutingScratch& scratch,
-                                double max_affected_fraction = 0.25);
+/// (identical parents, costs, and settle order, up to exact-cost ties along
+/// zero-cost edges, which a positive hop_cost rules out).  Returns the
+/// number of nodes detached and re-settled: 1 + the dead node's subtree
+/// size, or 0 when the dead node was unreachable (no other path can change,
+/// and neither can any load).
+std::size_t repair_routing_after_death(const Network& network,
+                                       const Bitmap& alive,
+                                       const RoutingParams& params,
+                                       NodeId dead, RoutingTree& tree,
+                                       RoutingScratch& scratch);
 
 /// Per-node steady-state traffic after aggregation up the tree [bit/s].
 struct TrafficLoads {
@@ -103,26 +146,6 @@ TrafficLoads compute_loads(const Network& network, const RoutingTree& tree,
 /// In-place variant of compute_loads; reuses `loads`' capacity.
 void recompute_loads(const Network& network, const RoutingTree& tree,
                      const Bitmap& alive, TrafficLoads& loads);
-
-/// After a successful repair_routing_after_death, patches `loads` in place
-/// touching only the nodes whose aggregated traffic could have changed:
-/// the dead node, its old routing subtree, and the ancestor chains of every
-/// new attachment point (the dead node's former parent plus each repaired
-/// node's new parent).  Every touched node's loads are recomputed exactly —
-/// children summed in descending (path_cost, id) order, the restriction of
-/// the full reverse settle-order walk to the touched set — so the result is
-/// bitwise identical to a full recompute_loads.  Relies on strictly positive
-/// edge costs (settle order == ascending (path_cost, id)), the same
-/// assumption the repair's settle-order merge already makes.
-///
-/// `old_parent` is the dead node's parent BEFORE the repair (the repair
-/// resets it); `scratch` must be the one the repair just used (its affected
-/// mask and repaired order are consumed, and its mask is extended with the
-/// ancestor chains).  Appends the touched ids to `touched`, sorted ascending.
-void update_loads_after_repair(const Network& network, const RoutingTree& tree,
-                               NodeId dead, NodeId old_parent,
-                               RoutingScratch& scratch, TrafficLoads& loads,
-                               std::vector<NodeId>& touched);
 
 /// Drain-rate model parameters.
 struct DrainParams {

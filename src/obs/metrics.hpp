@@ -50,10 +50,13 @@ enum class Metric : std::uint16_t {
   kSimHeapCompactions,
   kSimHeapPeak,  ///< gauge-max: deepest heap observed
   // Incremental world updates / routing (src/sim/world.cpp).
-  kNetRoutingRepairs,
-  kNetRoutingRebuilds,
+  kNetRoutingRepairs,   ///< Fast-mode deaths (every one is a subtree repair)
+  kNetRoutingRebuilds,  ///< full rebuilds (Reference mode only)
   kNetDrainReschedules,
-  kNetRepairAffectedFraction,  ///< histogram: recomputed-node fraction per death
+  /// histogram, one sample per Fast-mode death: the share of all nodes the
+  /// routing repair detached and re-settled, (1 + subtree size) / N; 0 when
+  /// the dead node was already unreachable
+  kNetRepairAffectedFraction,
   kWorldDeaths,
   kWorldRequests,
   kWorldEscalations,

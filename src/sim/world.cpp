@@ -17,14 +17,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // floating-point drift between the scheduled time and the extrapolated level.
 constexpr Joules kLevelEpsilon = 1e-6;
 
-// Above this fraction of reachable nodes in the dead node's routing subtree,
-// a full in-place rebuild beats the repair.  The repair's restricted
-// Dijkstra skips every settled survivor, so it stays cheaper than a rebuild
-// until the subtree covers most of the tree (profiling the N=400 cascade
-// bench put the crossover above one half; rebuilds there cost ~40 % of the
-// cascade at a 0.25 threshold).
-constexpr double kRepairRebuildFraction = 0.6;
-
 }  // namespace
 
 void WorldParams::validate() const {
@@ -98,15 +90,10 @@ World::World(Simulator& sim, net::Network network, const WorldParams& params,
   alive_count_ = n;
   alive_mask_.assign(n, true);
   pending_ids_.reserve(n);
-  dirty_ids_.reserve(n);
 
   // Pre-size the kernel slab/heap, the routing scratch, and the persistent
   // buffers so the steady-state death path never allocates.
-  std::size_t edges = 0;
-  for (net::NodeId id = 0; id < n; ++id) {
-    edges += network_.neighbors(id).size();
-  }
-  scratch_.reserve(n, edges);
+  scratch_.reserve(n);
   sim_.reserve(5 * n + 64);
   drains_.reserve(n);
 
@@ -632,60 +619,22 @@ void World::on_topology_change(net::NodeId dead) {
     recompute_routing_reference();
     return;
   }
-  // The repair resets the dead node's tree fields; capture the old parent
-  // first — its ancestor chain loses the dead subtree's traffic.
-  const net::NodeId old_parent = routing_.parent[dead];
-  const bool was_reachable = routing_.reachable[dead];
-  if (net::repair_routing_after_death(network_, alive_mask_, params_.routing,
-                                      dead, routing_, scratch_,
-                                      kRepairRebuildFraction)) {
-    ++update_stats_.repairs;
-    dirty_ids_.clear();
-    if (was_reachable) {
-      refresh_loads_and_drains_after_repair(dead, old_parent);
-    }
-    // An unreachable node routed no traffic, so its death changes no loads
-    // and no drains: the dirty set stays empty.
-    WRSN_OBS_OBSERVE(kNetRepairAffectedFraction,
-                     cold_.empty() ? 0.0
-                                   : double(dirty_ids_.size()) /
-                                         double(cold_.size()));
-    apply_drain_changes(dirty_ids_);
-  } else {
-    // Large blast radius: the repair declined; rebuild in place instead.
-    net::rebuild_routing_tree(network_, alive_mask_, params_.routing, routing_,
-                              scratch_);
-    ++update_stats_.rebuilds;
-    WRSN_OBS_OBSERVE(kNetRepairAffectedFraction, 1.0);
-    refresh_loads_and_drains();
-    apply_drain_changes();
-  }
+  const std::size_t detached = net::repair_routing_after_death(
+      network_, alive_mask_, params_.routing, dead, routing_, scratch_);
+  ++update_stats_.repairs;
+  WRSN_OBS_OBSERVE(kNetRepairAffectedFraction,
+                   double(detached) / double(cold_.size()));
+  // An unreachable node routed no traffic, so its death changes no loads
+  // and no drains.
+  if (detached == 0) return;
+  refresh_loads_and_drains();
+  apply_drain_changes();
 }
 
 void World::refresh_loads_and_drains() {
   net::recompute_loads(network_, routing_, alive_mask_, loads_);
   net::recompute_drain_rates(network_, routing_, loads_, params_.drain,
                              drains_);
-}
-
-void World::refresh_loads_and_drains_after_repair(net::NodeId dead,
-                                                  net::NodeId old_parent) {
-  // O(affected): patch the loads of exactly the nodes whose aggregated
-  // traffic could have changed, then recompute just their drains.  Unchanged
-  // inputs give bitwise-unchanged outputs, so this matches a full refresh
-  // exactly; apply_drain_changes then reschedules the strict subset whose
-  // drain truly moved.
-  net::update_loads_after_repair(network_, routing_, dead, old_parent,
-                                 scratch_, loads_, dirty_ids_);
-  const energy::RadioModel radio(params_.drain.radio);
-  for (const net::NodeId id : dirty_ids_) {
-    Watts drain = params_.drain.sensing_power;
-    if (routing_.reachable[id]) {
-      drain += radio.tx_power(loads_.tx_bps[id], routing_.uplink_distance[id]);
-      drain += radio.rx_power(loads_.rx_bps[id]);
-    }
-    drains_[id] = drain;
-  }
 }
 
 void World::apply_drain_changes() {
@@ -701,17 +650,6 @@ void World::apply_drain_changes() {
     reschedule(id);
     ++update_stats_.reschedules;
   });
-}
-
-void World::apply_drain_changes(const std::vector<net::NodeId>& candidates) {
-  for (const net::NodeId id : candidates) {
-    if (!alive_mask_.test(id)) continue;
-    if (drain_[id] == drains_[id]) continue;
-    resync(id);
-    drain_[id] = drains_[id];
-    reschedule(id);
-    ++update_stats_.reschedules;
-  }
 }
 
 void World::recompute_routing_reference() {

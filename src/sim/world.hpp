@@ -6,14 +6,16 @@
 // analytic events (no ticking).  A node death invalidates the routing tree;
 // how the world reacts is governed by WorldParams::update_mode:
 //
-//   * Fast (default): the routing tree is PATCHED via an affected-subtree
-//     Dijkstra repair (falling back to a full in-place rebuild when the
-//     blast radius is large), loads and drains are refilled into persistent
-//     buffers (zero allocations after warmup), and only nodes whose drain
-//     rate actually changed are resynced and rescheduled.  Nodes outside
-//     the dead node's routing subtree and ancestor chain see bitwise
-//     identical drains, so their pending events remain exact and untouched —
-//     per-death cost is O(affected), not O(N log N).
+//   * Fast (default): the routing tree is PATCHED by a Dijkstra restricted
+//     to the dead node's routing subtree, loads and drains are refilled by
+//     one full pass into persistent buffers (zero allocations after
+//     warmup), and only nodes whose drain rate actually changed are
+//     resynced and rescheduled.  Nodes outside the dead node's routing
+//     subtree and ancestor chain see bitwise identical drains, so their
+//     pending events remain exact and untouched.  A death costs the
+//     subtree's Dijkstra plus O(N) linear passes (finding the subtree,
+//     merging the settle order, loads, drains and the drain diff), not a
+//     full O(N log N) rebuild and a reschedule of every survivor.
 //   * Reference: the seed behaviour, kept as the executable spec — full
 //     Dijkstra rebuild into fresh vectors and resync+reschedule of every
 //     alive node.  The world-equivalence test suite pins Fast to Reference
@@ -110,7 +112,9 @@ struct WorldParams {
   Seconds hardware_mtbf = 0.0;
 
   /// Death-reaction strategy; Fast and Reference produce identical traces
-  /// (the world-equivalence suite asserts it), Fast is O(affected) per death.
+  /// (the world-equivalence suite asserts it).  Fast costs a subtree-sized
+  /// Dijkstra plus O(N) linear passes per death and reschedules only the
+  /// nodes whose drain changed.
   WorldUpdateMode update_mode = WorldUpdateMode::Fast;
 
   wpt::ChargingModelParams charging;
@@ -130,11 +134,11 @@ struct WorldParams {
 };
 
 /// Counters describing how the world has reacted to topology changes;
-/// exposed for benchmarks and diagnostics (Fast mode should mostly repair,
-/// and reschedule far fewer nodes than Reference's everyone-every-death).
+/// exposed for benchmarks and diagnostics (Fast mode repairs every death
+/// and reschedules far fewer nodes than Reference's everyone-every-death).
 struct WorldUpdateStats {
-  std::uint64_t repairs = 0;    ///< subtree repairs taken
-  std::uint64_t rebuilds = 0;   ///< full rebuilds (fallback or Reference)
+  std::uint64_t repairs = 0;    ///< subtree repairs (one per Fast death)
+  std::uint64_t rebuilds = 0;   ///< full rebuilds (Reference mode only)
   std::uint64_t reschedules = 0;  ///< nodes resynced+rescheduled by updates
   std::uint64_t mobility_epochs = 0;  ///< batched position/routing refreshes
 };
@@ -338,29 +342,15 @@ class World {
   /// Marks the node dead in every live-state index and cancels its events.
   void retire_node(net::NodeId id);
   /// Full routing/loads/drains rebuild (mode-dispatching); used at
-  /// construction and as the Fast-mode fallback.
+  /// construction and by mobility epochs.
   void recompute_routing();
   /// Reacts to the death of `dead`: Fast repairs the routing subtree and
   /// reschedules only drain-changed nodes; Reference rebuilds everything.
   void on_topology_change(net::NodeId dead);
   /// Refills loads_/drains_ from routing_ into the persistent buffers.
   void refresh_loads_and_drains();
-  /// Like refresh_loads_and_drains, but after a subtree repair: loads are
-  /// patched in place via net::update_loads_after_repair (O(affected), not
-  /// O(N)) and drains recomputed only for the touched set.  Bitwise
-  /// identical to the full refresh: drain is a pure function of (reachable,
-  /// uplink, tx, rx), and outside the touched set those inputs are
-  /// untouched by the repair.  `old_parent` is the dead node's routing
-  /// parent captured before the repair.
-  /// Collects the recomputed ids into dirty_ids_ for apply_drain_changes.
-  void refresh_loads_and_drains_after_repair(net::NodeId dead,
-                                             net::NodeId old_parent);
-  /// Resyncs + reschedules exactly the alive nodes whose drain changed,
-  /// scanning every node (used after a full rebuild).
+  /// Resyncs + reschedules exactly the alive nodes whose drain changed.
   void apply_drain_changes();
-  /// Same, but visits only the given candidate ids (the post-repair dirty
-  /// set) — any node absent from it has a bitwise-unchanged drain.
-  void apply_drain_changes(const std::vector<net::NodeId>& candidates);
   /// The seed code path: fresh vectors, full Dijkstra, reschedule everyone.
   void recompute_routing_reference();
   void pending_insert(net::NodeId id);
@@ -402,8 +392,6 @@ class World {
   net::RoutingScratch scratch_;
   /// Alive nodes with an outstanding request, sorted ascending by id.
   std::vector<net::NodeId> pending_ids_;
-  /// Nodes whose drain was recomputed by the latest post-repair refresh.
-  std::vector<net::NodeId> dirty_ids_;
   MobilityModel mobility_;
   EventId mobility_event_ = kInvalidEvent;
   net::CoverageIndex coverage_;

@@ -574,6 +574,167 @@ TEST(Routing, SettleOrderIsTopological) {
   }
 }
 
+TEST(Routing, FrontierPopsInCostIdOrderUnderDecreaseKey) {
+  // Random pushes and decrease-keys, checked pop by pop against an ordered
+  // set of (cost, id).  Costs come from a small integer grid so exact-cost
+  // ties, which the id must break, are common.
+  constexpr std::size_t kIds = 300;
+  Rng rng(5);
+  FrontierHeap frontier;
+  for (int round = 0; round < 3; ++round) {
+    // Later rounds reset a heap that the previous round left non-empty.
+    frontier.reset(kIds);
+    std::set<std::pair<double, NodeId>> model;
+    std::vector<double> queued(kIds, -1.0);  // -1: not queued
+    for (int op = 0; op < 4'000; ++op) {
+      const auto id = static_cast<NodeId>(rng.uniform_int(0, kIds - 1));
+      const double roll = rng.uniform();
+      if (roll < 0.3 && !model.empty()) {
+        const FrontierHeap::Entry top = frontier.pop();
+        ASSERT_EQ(std::make_pair(top.cost, top.id), *model.begin());
+        queued[top.id] = -1.0;
+        model.erase(model.begin());
+      } else if (queued[id] < 0.0) {
+        const double cost = double(rng.uniform_int(0, 50));
+        frontier.push_or_decrease(id, cost);
+        queued[id] = cost;
+        model.insert({cost, id});
+      } else if (queued[id] > 0.0) {
+        const double cost = double(rng.uniform_int(0, int(queued[id]) - 1));
+        frontier.push_or_decrease(id, cost);
+        model.erase({queued[id], id});
+        queued[id] = cost;
+        model.insert({cost, id});
+      }
+    }
+    if (round == 2) {
+      std::vector<std::pair<double, NodeId>> popped;
+      while (!frontier.empty()) {
+        const FrontierHeap::Entry top = frontier.pop();
+        popped.emplace_back(top.cost, top.id);
+      }
+      EXPECT_TRUE(std::equal(popped.begin(), popped.end(), model.begin(),
+                             model.end()));
+    }
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The reachable node with the largest routing subtree.
+NodeId largest_subtree_root(const RoutingTree& tree) {
+  std::vector<std::size_t> size(tree.parent.size(), 0);
+  NodeId best = kInvalidNode;
+  for (auto it = tree.settle_order.rbegin(); it != tree.settle_order.rend();
+       ++it) {
+    const NodeId u = *it;
+    size[u] += 1;
+    if (tree.parent[u] != kInvalidNode) size[tree.parent[u]] += size[u];
+  }
+  for (const NodeId u : tree.settle_order) {
+    if (best == kInvalidNode || size[u] > size[best]) best = u;
+  }
+  return best;
+}
+
+/// Kills `deaths` nodes one at a time, repairing the tree after each death.
+/// The first and the last death take the node with the largest routing
+/// subtree; every tenth takes a sink neighbour while more than two survive
+/// (past that, cutting the sink's few uplinks would leave nothing to
+/// repair); one in ten takes any alive node, possibly one already cut off;
+/// the rest take random reachable nodes.  After every death the repaired
+/// tree, and loads and drains refreshed from it, must be bit-identical to a
+/// fresh build over the same alive mask.
+void check_repair_against_rebuild(const Network& network, std::size_t deaths,
+                                  std::uint64_t seed) {
+  const std::size_t n = network.size();
+  Rng rng(seed);
+  Bitmap alive(n, true);
+  RoutingTree tree;
+  RoutingScratch scratch;
+  scratch.reserve(n);
+  rebuild_routing_tree(network, alive, {}, tree, scratch);
+  TrafficLoads loads;
+  std::vector<Watts> drain;
+  std::size_t repaired = 0;
+  const auto pick = [&rng](const std::vector<NodeId>& ids) {
+    return ids[std::size_t(rng.uniform_int(0, std::int64_t(ids.size()) - 1))];
+  };
+  for (std::size_t k = 0; k < deaths; ++k) {
+    std::vector<NodeId> uplinks;
+    for (const NodeId id : network.sink_neighbors()) {
+      if (alive[id]) uplinks.push_back(id);
+    }
+    NodeId victim = kInvalidNode;
+    if (k == 0 || k + 1 == deaths) {
+      victim = largest_subtree_root(tree);
+    } else if (k % 10 == 1 && uplinks.size() > 2) {
+      victim = pick(uplinks);
+    } else if (k % 10 != 9 && !tree.settle_order.empty()) {
+      victim = pick(tree.settle_order);
+    }
+    while (victim == kInvalidNode || !alive[victim]) {
+      victim = static_cast<NodeId>(rng.uniform_int(0, std::int64_t(n) - 1));
+    }
+    const bool was_reachable = tree.reachable[victim];
+    alive.reset(victim);
+    const std::size_t detached = repair_routing_after_death(
+        network, alive, {}, victim, tree, scratch);
+    EXPECT_EQ(detached == 0, !was_reachable);
+    if (detached > 0) ++repaired;
+    recompute_loads(network, tree, alive, loads);
+    recompute_drain_rates(network, tree, loads, {}, drain);
+
+    const RoutingTree fresh = build_routing_tree(network, alive);
+    const TrafficLoads fresh_loads = compute_loads(network, fresh, alive);
+    const std::vector<Watts> fresh_drain =
+        compute_drain_rates(network, fresh, fresh_loads);
+    SCOPED_TRACE("death " + std::to_string(k) + " (node " +
+                 std::to_string(victim) + ")");
+    ASSERT_EQ(tree.parent, fresh.parent);
+    ASSERT_TRUE(tree.reachable == fresh.reachable);
+    ASSERT_EQ(tree.settle_order, fresh.settle_order);
+    ASSERT_TRUE(same_bits(tree.path_cost, fresh.path_cost));
+    ASSERT_TRUE(same_bits(tree.uplink_distance, fresh.uplink_distance));
+    ASSERT_TRUE(same_bits(loads.tx_bps, fresh_loads.tx_bps));
+    ASSERT_TRUE(same_bits(loads.rx_bps, fresh_loads.rx_bps));
+    ASSERT_TRUE(same_bits(drain, fresh_drain));
+  }
+  // The sequence must exercise real repairs, not only unreachable deaths.
+  EXPECT_GE(repaired, deaths / 2);
+}
+
+/// A deployment at the calibrated density (40*sqrt(N) m square field).
+Network calibrated_network(std::size_t n, Meters comm_range,
+                           std::uint64_t seed) {
+  TopologyConfig cfg;
+  cfg.node_count = n;
+  const double side = 40.0 * std::sqrt(double(n));
+  cfg.region = {{0.0, 0.0}, {side, side}};
+  cfg.comm_range = comm_range;
+  Rng rng(seed);
+  return generate_topology(cfg, rng);
+}
+
+TEST(Routing, RepairMatchesFullRebuildAt1600Nodes) {
+  const Network network = calibrated_network(1'600, 65.0, 42);
+  check_repair_against_rebuild(network, 400, 1);
+}
+
+TEST(Routing, RepairMatchesFullRebuildAt10000Nodes) {
+  const Network network = calibrated_network(10'000, 80.0, 42);
+  check_repair_against_rebuild(network, 100, 2);
+}
+
 TEST(Loads, LineAggregatesDownstreamTraffic) {
   const Network net = make_line(4);  // each node generates 1000 bps
   const RoutingTree tree = build_routing_tree(net);

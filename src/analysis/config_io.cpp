@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -425,6 +426,11 @@ ScenarioConfig apply_config(
       throw ConfigError("unknown config key '" + key + "'");
     }
     it->second(key, value);
+  }
+  // The simulator runs to the horizon, so an infinite one need never
+  // return; a NaN or non-positive one describes no mission.
+  if (!std::isfinite(cfg.horizon) || cfg.horizon <= 0.0) {
+    throw ConfigError("horizon must be finite and > 0");
   }
   // Fault parameters carry cross-field constraints (e.g. drop + delay
   // probabilities summing past 1), so the whole section validates at load

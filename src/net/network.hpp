@@ -16,17 +16,23 @@
 // edge length computed with the same geom::distance expression.  One hypot
 // fills both the (i,j) and the (j,i) entry; hypot is sign-symmetric, so
 // evaluating it from j would give the same bits.  The range test reads the
-// squared length first: it settles every pair outside a
+// squared length first (geom::RadiusBand): it settles every pair outside a
 // relative band of 1e-9 around the radius exactly as hypot would, so only
 // pairs inside that band, and accepted pairs for their stored length, pay
 // for a hypot.
+//
+// IsolationScan answers one question about the same graph without building
+// it: which nodes would have no neighbour and no sink link.  It shares the
+// grid and the radius predicate with the build, so its answer is the CSR's.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/units.hpp"
+#include "geom/radius_band.hpp"
 #include "geom/vec2.hpp"
 
 namespace wrsn::net {
@@ -43,6 +49,52 @@ struct SensorSpec {
   double data_rate_bps = 0.0;
   /// Battery capacity [J].
   Joules battery_capacity = 10'800.0;
+};
+
+/// Node positions bucketed into square cells at least `min_side` wide, so
+/// every node within min_side of a point lies in the 3x3 stencil around the
+/// point's cell.  A counting sort by cell: each cell's slots hold its
+/// members in ascending id, with their coordinates copied into cell-ordered
+/// x/y lanes so a candidate scan reads two contiguous arrays.  The cell
+/// count is capped at ~4N, so a sparse giant region gets wider cells (still
+/// correct, just a few more candidates).  Buffers persist across builds, so
+/// a rebuild is allocation-free once they reach their high-water sizes.
+class CellGrid {
+ public:
+  /// Slots [begin, end) of one stencil row.  A row's three cells are
+  /// adjacent in cell order, so their members form one contiguous run.
+  struct SlotRun {
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+  /// The one to three stencil rows around a point's cell.
+  struct Stencil {
+    std::array<SlotRun, 3> rows;
+    std::size_t count = 0;
+    const SlotRun* begin() const { return rows.data(); }
+    const SlotRun* end() const { return rows.data() + count; }
+  };
+
+  void build(std::span<const SensorSpec> nodes, Meters min_side);
+
+  Stencil stencil(geom::Vec2 p) const;
+  NodeId id(std::uint32_t slot) const { return items_[slot]; }
+  geom::Vec2 position(std::uint32_t slot) const {
+    return {x_[slot], y_[slot]};
+  }
+
+ private:
+  std::size_t cell_of(geom::Vec2 p) const;
+
+  geom::Vec2 lo_;
+  Meters side_ = 1.0;
+  std::size_t nx_ = 1;
+  std::size_t ny_ = 1;
+  std::vector<std::uint32_t> start_;
+  std::vector<std::uint32_t> cursor_;
+  std::vector<NodeId> items_;
+  std::vector<Meters> x_;
+  std::vector<Meters> y_;
 };
 
 /// Immutable network description plus the precomputed unit-disk adjacency.
@@ -109,15 +161,35 @@ class Network {
   std::vector<NodeId> sink_neighbors_;
   std::vector<bool> sink_adjacent_;
   std::vector<Meters> sink_distance_;
-  // Grid-bucket scratch for build_adjacency, persistent so per-epoch
-  // rebuilds under mobility are allocation-free after warmup.
-  std::vector<std::uint32_t> cell_start_;
-  std::vector<std::uint32_t> cell_cursor_;
-  std::vector<NodeId> cell_items_;
-  std::vector<Meters> cell_x_;
-  std::vector<Meters> cell_y_;
+  // build_adjacency scratch, persistent so per-epoch rebuilds under
+  // mobility are allocation-free after warmup.
+  CellGrid grid_;
   std::vector<std::uint32_t> degree_;
   std::vector<std::uint32_t> pair_slots_;  // one node's in-range later slots
+};
+
+/// Which nodes `Network(nodes, sink, comm_range)` would leave isolated,
+/// decided from the positions alone.  isolated(id) is exactly
+/// `neighbors(id).empty() && !sink_reachable(id)` of that Network: it buckets
+/// the positions into the build's grid and applies the build's predicate,
+/// `distance <= comm_range` settled by the same RadiusBand, to the sink and
+/// then to the stencil's candidates, stopping at the first one in range.
+/// One isolated node proves the deployment disconnected, so a generator can
+/// reject it without paying for the CSR; the converse does not hold, and
+/// is_connected stays the only connectivity verdict.
+class IsolationScan {
+ public:
+  /// `nodes` must outlive the scan.
+  IsolationScan(std::span<const SensorSpec> nodes, geom::Vec2 sink,
+                Meters comm_range);
+
+  bool isolated(NodeId id) const;
+
+ private:
+  std::span<const SensorSpec> nodes_;
+  geom::Vec2 sink_;
+  geom::RadiusBand band_;
+  CellGrid grid_;
 };
 
 }  // namespace wrsn::net

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 
 #include "common/check.hpp"
+#include "geom/radius_band.hpp"
 #include "obs/metrics.hpp"
 
 namespace wrsn::net {
@@ -20,18 +22,26 @@ geom::Vec2 uniform_point(const geom::Rect& region, Rng& rng) {
 // Grid-bucketed index answering "is any accepted point within min_sep of
 // this candidate?" in O(1) expected time, so 10k-node deployments don't pay
 // the old O(placed) scan per candidate.  It evaluates the exact predicate
-// the linear scan used (distance < min_sep), so every accept/reject
+// the linear scan used (distance < min_sep), settled from the squared
+// length outside geom::RadiusBand's thin band, so every accept/reject
 // decision — and therefore the RNG draw sequence and the resulting
 // topology — is unchanged.
+//
+// Cells are sized for ~1 point each, usually far wider than min_sep, so a
+// candidate visits only the cells that meet the square of half-side
+// `reach_` around it, typically one.  reach_ pads min_sep by a relative
+// 1e-7: a hypot below min_sep means each coordinate difference is below
+// reach_, and the box corners and cell indices are computed by monotone
+// roundings, so no point that could be too close is ever left out.
 class SeparationIndex {
  public:
   SeparationIndex(const geom::Rect& region, Meters min_sep,
                   std::size_t expected)
-      : min_sep_(min_sep) {
+      : min_sep_(min_sep), reach_(min_sep * (1.0 + 1e-7)), band_(min_sep) {
     if (min_sep_ <= 0.0) return;
     origin_ = region.lo;
-    // Target ~1 point per cell, but never below min_sep: cells at least
-    // min_sep wide keep the 3x3 stencil sufficient.
+    // Target ~1 point per cell, but never below min_sep, so the box spans
+    // at most a few cells per axis.
     cell_ = std::max(min_sep_,
                      std::sqrt(region.width() * region.height() /
                                double(std::max<std::size_t>(expected, 1))));
@@ -44,15 +54,12 @@ class SeparationIndex {
 
   bool ok(geom::Vec2 candidate) const {
     if (min_sep_ <= 0.0) return true;
-    const auto [cx, cy] = cell_of(candidate);
-    const std::size_t x0 = cx > 0 ? cx - 1 : 0;
-    const std::size_t x1 = std::min(cx + 1, nx_ - 1);
-    const std::size_t y0 = cy > 0 ? cy - 1 : 0;
-    const std::size_t y1 = std::min(cy + 1, ny_ - 1);
+    const auto [x0, y0] = cell_of(candidate - geom::Vec2{reach_, reach_});
+    const auto [x1, y1] = cell_of(candidate + geom::Vec2{reach_, reach_});
     for (std::size_t gy = y0; gy <= y1; ++gy) {
       for (std::size_t gx = x0; gx <= x1; ++gx) {
         for (std::int32_t k = heads_[gy * nx_ + gx]; k >= 0; k = next_[k]) {
-          if (geom::distance(points_[k], candidate) < min_sep_) return false;
+          if (band_.closer(points_[k], candidate)) return false;
         }
       }
     }
@@ -68,15 +75,19 @@ class SeparationIndex {
   }
 
  private:
+  // Clamped before the cast, so a box corner past the region edge maps to
+  // the edge cell.
   std::pair<std::size_t, std::size_t> cell_of(geom::Vec2 p) const {
-    const auto cx = static_cast<std::size_t>(
-        std::max(0.0, (p.x - origin_.x) / cell_));
-    const auto cy = static_cast<std::size_t>(
-        std::max(0.0, (p.y - origin_.y) / cell_));
-    return {std::min(cx, nx_ - 1), std::min(cy, ny_ - 1)};
+    const auto axis = [&](double offset, std::size_t cells) {
+      return static_cast<std::size_t>(
+          std::min(std::max(0.0, offset / cell_), double(cells - 1)));
+    };
+    return {axis(p.x - origin_.x, nx_), axis(p.y - origin_.y, ny_)};
   }
 
   Meters min_sep_ = 0.0;
+  Meters reach_ = 0.0;
+  geom::RadiusBand band_;
   geom::Vec2 origin_;
   Meters cell_ = 1.0;
   std::size_t nx_ = 1;
@@ -189,8 +200,12 @@ std::vector<geom::Vec2> place_clustered(const TopologyConfig& cfg, Rng& rng) {
   return points;
 }
 
-Network build_network(const TopologyConfig& cfg,
-                      const std::vector<geom::Vec2>& points, Rng& rng) {
+// The per-node draws, data rate then class, in id order.  Every attempt
+// makes them whether or not its deployment is kept, so the rng stream does
+// not depend on how early a deployment is rejected.
+std::vector<SensorSpec> draw_specs(const TopologyConfig& cfg,
+                                   const std::vector<geom::Vec2>& points,
+                                   Rng& rng) {
   std::vector<SensorSpec> nodes;
   nodes.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -213,9 +228,16 @@ Network build_network(const TopologyConfig& cfg,
     }
     nodes.push_back(spec);
   }
-  const geom::Vec2 sink =
-      cfg.sink_at_center ? cfg.region.center() : cfg.sink_position;
-  return Network(std::move(nodes), sink, cfg.comm_range);
+  return nodes;
+}
+
+bool has_isolated_node(std::span<const SensorSpec> nodes, geom::Vec2 sink,
+                       Meters comm_range) {
+  const IsolationScan scan(nodes, sink, comm_range);
+  for (NodeId id = 0; id < nodes.size(); ++id) {
+    if (scan.isolated(id)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -267,6 +289,8 @@ void TopologyConfig::validate() const {
 
 Network generate_topology(const TopologyConfig& config, Rng& rng) {
   config.validate();
+  const geom::Vec2 sink =
+      config.sink_at_center ? config.region.center() : config.sink_position;
   for (std::size_t attempt = 0; attempt < config.max_attempts; ++attempt) {
     WRSN_OBS_COUNT(kNetTopologyAttempts);
     std::vector<geom::Vec2> points;
@@ -276,7 +300,11 @@ Network generate_topology(const TopologyConfig& config, Rng& rng) {
       case Deployment::Clustered: points = place_clustered(config, rng); break;
       case Deployment::Corridor: points = place_corridor(config, rng); break;
     }
-    Network net = build_network(config, points, rng);
+    std::vector<SensorSpec> nodes = draw_specs(config, points, rng);
+    // Most disconnected deployments strand a node outright; those are
+    // rejected before the CSR is built.
+    if (has_isolated_node(nodes, sink, config.comm_range)) continue;
+    Network net(std::move(nodes), sink, config.comm_range);
     if (is_connected(net)) return net;
   }
   throw SimulationError(

@@ -4,6 +4,14 @@
 // reach the sink over the unit-disk graph); generation retries with fresh
 // randomness until connectivity holds and throws after a bounded number of
 // attempts so misconfigured densities fail loudly instead of looping.
+//
+// One attempt places the points, then makes the per-node draws (data rate,
+// then class), whether or not the attempt is kept, so the rng stream is a
+// function of the attempt count alone.  An IsolationScan over the points
+// then rejects the attempt if some node has neither a node nor the sink in
+// range: such a deployment is disconnected, and rejecting it costs no CSR.
+// Only an attempt that passes builds its Network, and is_connected on that
+// Network decides whether it is kept.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +87,8 @@ struct TopologyConfig {
 /// Generates a connected network according to `config`.
 /// Throws SimulationError if no connected deployment is found within
 /// `max_attempts` (density too low for the requested comm_range).  Every
-/// deployment tried, connected or not, bumps `net.topology_attempts`.
+/// deployment tried, connected or not and whether or not it built a
+/// Network, bumps `net.topology_attempts`.
 Network generate_topology(const TopologyConfig& config, Rng& rng);
 
 /// True if every node can reach the sink over the unit-disk graph,

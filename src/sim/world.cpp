@@ -1,7 +1,10 @@
 #include "sim/world.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -20,6 +23,26 @@ constexpr Joules kLevelEpsilon = 1e-6;
 }  // namespace
 
 void WorldParams::validate() const {
+  // Checked first: an infinite or NaN value passes the ordered comparisons
+  // below (NaN fails none of them).
+  const std::pair<const char*, double> reals[] = {
+      {"request_threshold", request_threshold},
+      {"min_request_gap", min_request_gap},
+      {"patience", patience},
+      {"charge_target_fraction", charge_target_fraction},
+      {"benign_gain_mean", benign_gain_mean},
+      {"benign_gain_cv", benign_gain_cv},
+      {"initial_level_min", initial_level_min},
+      {"initial_level_max", initial_level_max},
+      {"emergency_fraction", emergency_fraction},
+      {"emergency_patience", emergency_patience},
+      {"hardware_mtbf", hardware_mtbf},
+  };
+  for (const auto& [name, value] : reals) {
+    if (!std::isfinite(value)) {
+      throw ConfigError(std::string("world ") + name + " must be finite");
+    }
+  }
   if (request_threshold <= 0.0 || request_threshold >= 1.0) {
     throw ConfigError("request_threshold must be in (0, 1)");
   }

@@ -136,6 +136,17 @@ TEST(Config, NonFiniteTopologyValuesThrow) {
   }
 }
 
+TEST(Config, NonFiniteOrNonPositiveHorizonThrows) {
+  for (const char* line :
+       {"horizon = inf\n", "horizon = -inf\n", "horizon = nan\n",
+        "horizon = 0\n", "horizon = -3600\n"}) {
+    std::istringstream in(line);
+    EXPECT_THROW(load_config(in), ConfigError) << line;
+  }
+  std::istringstream ok("horizon = 3600\n");
+  EXPECT_DOUBLE_EQ(load_config(ok).horizon, 3600.0);
+}
+
 TEST(Config, UnsetKeysKeepDefaults) {
   std::istringstream in("seed = 3\n");
   const ScenarioConfig cfg = load_config(in);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -495,6 +496,31 @@ TEST(World, ParamsValidation) {
   params = WorldParams{};
   params.hardware_mtbf = -1.0;
   EXPECT_THROW(params.validate(), ConfigError);
+}
+
+TEST(World, ParamsRejectNonFiniteValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<void (*)(WorldParams&, double)> setters = {
+      [](WorldParams& p, double v) { p.request_threshold = v; },
+      [](WorldParams& p, double v) { p.min_request_gap = v; },
+      [](WorldParams& p, double v) { p.patience = v; },
+      [](WorldParams& p, double v) { p.charge_target_fraction = v; },
+      [](WorldParams& p, double v) { p.benign_gain_mean = v; },
+      [](WorldParams& p, double v) { p.benign_gain_cv = v; },
+      [](WorldParams& p, double v) { p.initial_level_min = v; },
+      [](WorldParams& p, double v) { p.initial_level_max = v; },
+      [](WorldParams& p, double v) { p.emergency_fraction = v; },
+      [](WorldParams& p, double v) { p.emergency_patience = v; },
+      [](WorldParams& p, double v) { p.hardware_mtbf = v; },
+  };
+  for (std::size_t k = 0; k < setters.size(); ++k) {
+    for (const double bad : {inf, -inf, nan}) {
+      WorldParams params;
+      setters[k](params, bad);
+      EXPECT_THROW(params.validate(), ConfigError) << "field " << k;
+    }
+  }
 }
 
 TEST(World, PlannedSessionHelpersAreConsistent) {

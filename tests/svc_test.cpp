@@ -11,6 +11,7 @@
 #include <mutex>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "analysis/fuzz.hpp"
@@ -849,6 +850,39 @@ TEST(MissionServer, NonFiniteTopologyIsInvalidAndServerKeepsServing) {
       std::numeric_limits<double>::infinity(), 160.0};
   EXPECT_EQ(service.submit(request).status, MissionStatus::kInvalid);
   EXPECT_EQ(service.submit(quick_request(43)).status, MissionStatus::kOk);
+  server.stop();
+}
+
+TEST(MissionServer, NonFiniteWorldFieldIsInvalidAndServerKeepsServing) {
+  MissionService service(quick_options());
+  const std::string path = test_socket_path("nonfinite-world");
+  MissionServer server(service, path);
+  server.start();
+
+  // A NaN threshold or an infinite patience once passed WorldParams
+  // validation, which used ordered comparisons only.
+  MissionClient json_client(path, /*binary=*/false);
+  MissionClient binary_client(path, /*binary=*/true);
+  for (const auto& [key, value] :
+       {std::pair{"world.request_threshold", "nan"},
+        std::pair{"world.patience", "inf"},
+        std::pair{"world.min_request_gap", "-inf"}}) {
+    analysis::FuzzOverrides o = analysis::parse_repro(quick_repro(44));
+    o[key] = value;
+    const std::string repro = analysis::format_repro(o);
+    EXPECT_EQ(json_client.call(1, repro).status, MissionStatus::kInvalid)
+        << key;
+    EXPECT_EQ(binary_client.call(2, repro).status, MissionStatus::kInvalid)
+        << key;
+  }
+  EXPECT_EQ(json_client.call(3, quick_repro(44)).status, MissionStatus::kOk);
+  EXPECT_EQ(binary_client.call(4, quick_repro(45)).status, MissionStatus::kOk);
+
+  MissionRequest request = quick_request(46);
+  request.config.world.benign_gain_cv =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(service.submit(request).status, MissionStatus::kInvalid);
+  EXPECT_EQ(service.submit(quick_request(46)).status, MissionStatus::kOk);
   server.stop();
 }
 

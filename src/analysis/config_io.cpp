@@ -1,12 +1,11 @@
 #include "analysis/config_io.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
-#include <functional>
-#include <sstream>
+#include <type_traits>
 
+#include "analysis/config_fields.hpp"
 #include "common/check.hpp"
 
 namespace wrsn::analysis {
@@ -19,65 +18,73 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-double to_double(const std::string& key, const std::string& value) {
+[[noreturn]] void bad_value(std::string_view key, const std::string& value,
+                            std::string_view expected) {
+  throw ConfigError("config key '" + std::string(key) + "': expected " +
+                    std::string(expected) + ", got '" + value + "'");
+}
+
+/// Every real a key sets must be finite: an infinite or NaN value passes
+/// ordered range checks and can stall or crash a mission.
+double parse_real(std::string_view key, const std::string& value) {
   std::size_t consumed = 0;
   double parsed = 0.0;
   try {
     parsed = std::stod(value, &consumed);
   } catch (const std::exception&) {
-    throw ConfigError("config key '" + key + "': cannot parse number '" +
-                      value + "'");
+    bad_value(key, value, "a number");
   }
-  if (consumed != value.size()) {
-    throw ConfigError("config key '" + key + "': trailing junk in '" + value +
-                      "'");
+  if (consumed != value.size() || !std::isfinite(parsed)) {
+    bad_value(key, value, "a finite number");
   }
   return parsed;
 }
 
-std::size_t to_size(const std::string& key, const std::string& value) {
-  const double parsed = to_double(key, value);
-  if (parsed < 0.0 || parsed != std::floor(parsed)) {
-    throw ConfigError("config key '" + key + "': expected a non-negative "
-                      "integer, got '" + value + "'");
+/// Plain decimal digits only: no sign, fraction, exponent or overflow.
+template <class T>
+T parse_integer(std::string_view key, const std::string& value) {
+  static_assert(std::is_unsigned_v<T>);
+  T parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc{} || ptr != end) {
+    bad_value(key, value, "a non-negative integer");
   }
-  return static_cast<std::size_t>(parsed);
+  return parsed;
 }
 
-bool to_bool(const std::string& key, const std::string& value) {
+bool parse_bool(std::string_view key, const std::string& value) {
   if (value == "true" || value == "1" || value == "yes") return true;
   if (value == "false" || value == "0" || value == "no") return false;
-  throw ConfigError("config key '" + key + "': expected a boolean, got '" +
-                    value + "'");
+  bad_value(key, value, "a boolean");
 }
 
-net::KeyNodeRule to_key_rule(const std::string& key,
-                             const std::string& value) {
-  if (value == "articulation") return net::KeyNodeRule::Articulation;
-  if (value == "top-traffic") return net::KeyNodeRule::TopTraffic;
-  if (value == "hybrid") return net::KeyNodeRule::Hybrid;
-  throw ConfigError("config key '" + key +
-                    "': expected articulation|top-traffic|hybrid");
+template <class E>
+E parse_enum(std::string_view key, const std::string& value,
+             EnumNames<E> names) {
+  for (const EnumName<E>& name : names) {
+    if (value == name.name) return name.value;
+  }
+  std::string expected;
+  for (const EnumName<E>& name : names) {
+    if (!expected.empty()) expected += '|';
+    expected += name.name;
+  }
+  bad_value(key, value, expected);
 }
 
-csa::SpoofMode to_spoof_mode(const std::string& key,
-                             const std::string& value) {
-  if (value == "phase-cancel") return csa::SpoofMode::PhaseCancel;
-  if (value == "partial-cancel") return csa::SpoofMode::PartialCancel;
-  if (value == "silent-skip") return csa::SpoofMode::SilentSkip;
-  if (value == "no-service") return csa::SpoofMode::NoService;
-  throw ConfigError(
-      "config key '" + key +
-      "': expected phase-cancel|partial-cancel|silent-skip|no-service");
-}
-
-mc::SchedulePolicy to_policy(const std::string& key,
-                             const std::string& value) {
-  if (value == "njnp") return mc::SchedulePolicy::Njnp;
-  if (value == "edf") return mc::SchedulePolicy::Edf;
-  if (value == "fcfs") return mc::SchedulePolicy::Fcfs;
-  if (value == "tour") return mc::SchedulePolicy::Tour;
-  throw ConfigError("config key '" + key + "': expected njnp|edf|fcfs|tour");
+template <class T>
+void parse_into(std::string_view key, const std::string& value, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = parse_bool(key, value);
+  } else if constexpr (std::is_enum_v<T>) {
+    out = parse_enum(key, value, enum_names(T{}));
+  } else if constexpr (std::is_integral_v<T>) {
+    out = parse_integer<T>(key, value);
+  } else {
+    static_assert(std::is_same_v<T, double>);
+    out = parse_real(key, value);
+  }
 }
 
 }  // namespace
@@ -117,331 +124,58 @@ ScenarioConfig apply_config(
     const ScenarioConfig& base,
     const std::map<std::string, std::string>& entries) {
   ScenarioConfig cfg = base;
-
-  using Setter = std::function<void(const std::string&, const std::string&)>;
-  const std::map<std::string, Setter> setters = {
-      // topology
-      {"topology.node_count",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.node_count = to_size(k, v);
-       }},
-      {"topology.comm_range",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.comm_range = to_double(k, v);
-       }},
-      {"topology.region_size",
-       [&](const std::string& k, const std::string& v) {
-         const double side = to_double(k, v);
-         cfg.topology.region = {{0.0, 0.0}, {side, side}};
-       }},
-      {"topology.mean_data_rate_bps",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.mean_data_rate_bps = to_double(k, v);
-       }},
-      {"topology.battery_capacity",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.battery_capacity = to_double(k, v);
-       }},
-      {"topology.deployment",
-       [&](const std::string& k, const std::string& v) {
-         if (v == "uniform") {
-           cfg.topology.deployment = net::Deployment::Uniform;
-         } else if (v == "grid") {
-           cfg.topology.deployment = net::Deployment::Grid;
-         } else if (v == "clustered") {
-           cfg.topology.deployment = net::Deployment::Clustered;
-         } else if (v == "corridor") {
-           cfg.topology.deployment = net::Deployment::Corridor;
-         } else {
-           throw ConfigError("config key '" + k +
-                             "': expected uniform|grid|clustered|corridor");
-         }
-       }},
-      {"topology.min_separation",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.min_separation = to_double(k, v);
-       }},
-      {"topology.corridor_count",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.corridor_count = to_size(k, v);
-       }},
-      {"topology.class_count",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.class_count = to_size(k, v);
-       }},
-      {"topology.class_capacity_ratio",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.class_capacity_ratio = to_double(k, v);
-       }},
-      {"topology.class_rate_ratio",
-       [&](const std::string& k, const std::string& v) {
-         cfg.topology.class_rate_ratio = to_double(k, v);
-       }},
-      // mobility
-      {"mobility.fraction",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.fraction = to_double(k, v);
-       }},
-      {"mobility.interval",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.interval = to_double(k, v);
-       }},
-      {"mobility.speed_min",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.speed_min = to_double(k, v);
-       }},
-      {"mobility.speed_max",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.speed_max = to_double(k, v);
-       }},
-      {"mobility.pause_min",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.pause_min = to_double(k, v);
-       }},
-      {"mobility.pause_max",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.mobility.pause_max = to_double(k, v);
-       }},
-      // k-coverage utility
-      {"coverage.k",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.coverage.k = to_size(k, v);
-       }},
-      {"coverage.radius",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.coverage.radius = to_double(k, v);
-       }},
-      {"coverage.bonus",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.coverage.bonus = to_double(k, v);
-       }},
-      // world
-      {"world.request_threshold",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.request_threshold = to_double(k, v);
-       }},
-      {"world.patience",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.patience = to_double(k, v);
-       }},
-      {"world.min_request_gap",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.min_request_gap = to_double(k, v);
-       }},
-      {"world.hardware_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.hardware_mtbf = to_double(k, v);
-       }},
-      {"world.emergency_enabled",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.emergency_enabled = to_bool(k, v);
-       }},
-      {"world.sensing_power",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.drain.sensing_power = to_double(k, v);
-       }},
-      {"world.initial_level_min",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.initial_level_min = to_double(k, v);
-       }},
-      {"world.initial_level_max",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.initial_level_max = to_double(k, v);
-       }},
-      {"world.source_power",
-       [&](const std::string& k, const std::string& v) {
-         cfg.world.charging.source_power = to_double(k, v);
-       }},
-      // benign charger
-      {"benign.policy",
-       [&](const std::string& k, const std::string& v) {
-         cfg.benign.policy = to_policy(k, v);
-       }},
-      {"benign.speed",
-       [&](const std::string& k, const std::string& v) {
-         cfg.benign.charger.speed = to_double(k, v);
-       }},
-      // attack
-      {"attack.spoof_mode",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.spoof_mode = to_spoof_mode(k, v);
-       }},
-      {"attack.key_rule",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.key_selection.rule = to_key_rule(k, v);
-       }},
-      {"attack.key_count",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.key_selection.max_count = to_size(k, v);
-       }},
-      {"attack.pace_limit",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.pace_limit = to_size(k, v);
-       }},
-      {"attack.pace_window",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.pace_window = to_double(k, v);
-       }},
-      {"attack.partial_leak_ratio",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.partial_leak_ratio = to_double(k, v);
-       }},
-      {"attack.lookahead",
-       [&](const std::string& k, const std::string& v) {
-         cfg.attack.lookahead = to_double(k, v);
-       }},
-      // faults
-      {"faults.mc_breakdown_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.mc_breakdown_mtbf = to_double(k, v);
-       }},
-      {"faults.mc_repair_mean",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.mc_repair_mean = to_double(k, v);
-       }},
-      {"faults.mc_budget_loss",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.mc_budget_loss = to_double(k, v);
-       }},
-      {"faults.mc_permanent_at",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.mc_permanent_at = to_double(k, v);
-       }},
-      {"faults.node_burst_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.node_burst_mtbf = to_double(k, v);
-       }},
-      {"faults.node_burst_size",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.node_burst_size = to_size(k, v);
-       }},
-      {"faults.phase_noise_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.phase_noise_mtbf = to_double(k, v);
-       }},
-      {"faults.phase_noise_duration",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.phase_noise_duration = to_double(k, v);
-       }},
-      {"faults.phase_noise_scale",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.phase_noise_scale = to_double(k, v);
-       }},
-      {"faults.escalation_drop_prob",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.escalation_drop_prob = to_double(k, v);
-       }},
-      {"faults.escalation_delay_prob",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.escalation_delay_prob = to_double(k, v);
-       }},
-      {"faults.escalation_delay_max",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.escalation_delay_max = to_double(k, v);
-       }},
-      {"faults.battery_drift_mtbf",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.battery_drift_mtbf = to_double(k, v);
-       }},
-      {"faults.battery_drift_power",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.battery_drift_power = to_double(k, v);
-       }},
-      {"faults.battery_drift_duration",
-       [&](const std::string& k, const std::string& v) {
-         cfg.faults.battery_drift_duration = to_double(k, v);
-       }},
-      // fleet
-      {"fleet.size",
-       [&](const std::string& k, const std::string& v) {
-         cfg.fleet_size = to_size(k, v);
-         if (cfg.fleet_size == 0) {
-           throw ConfigError("'" + k + "' must be >= 1");
-         }
-       }},
-      {"fleet.compromised",
-       [&](const std::string& k, const std::string& v) {
-         cfg.fleet_compromised = to_size(k, v);
-       }},
-      // policy (DESIGN.md §15)
-      {"policy.attacker",
-       [&](const std::string&, const std::string& v) {
-         cfg.policy.attacker.kind = policy::parse_attack_policy(v);
-       }},
-      {"policy.epsilon",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.epsilon = to_double(k, v);
-       }},
-      {"policy.ucb_c",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.ucb_c = to_double(k, v);
-       }},
-      {"policy.epoch",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.epoch = to_double(k, v);
-       }},
-      {"policy.risk_weight",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.risk_weight = to_double(k, v);
-       }},
-      {"policy.risk_budget",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.attacker.risk_budget = to_size(k, v);
-       }},
-      {"policy.defender",
-       [&](const std::string&, const std::string& v) {
-         cfg.policy.defender.kind = policy::parse_defender_policy(v);
-       }},
-      {"policy.defender_window",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.defender.window = to_double(k, v);
-       }},
-      {"policy.defender_quantile",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.defender.quantile = to_double(k, v);
-       }},
-      {"policy.defender_min_samples",
-       [&](const std::string& k, const std::string& v) {
-         cfg.policy.defender.min_samples = to_size(k, v);
-       }},
-      // run
-      {"horizon",
-       [&](const std::string& k, const std::string& v) {
-         cfg.horizon = to_double(k, v);
-         cfg.attack.campaign_deadline = cfg.horizon;
-       }},
-      {"seed",
-       [&](const std::string& k, const std::string& v) {
-         cfg.seed = static_cast<std::uint64_t>(to_size(k, v));
-       }},
-      {"hardened_detectors",
-       [&](const std::string& k, const std::string& v) {
-         cfg.hardened_detectors = to_bool(k, v);
-       }},
+  // One reused buffer: the map's lookup takes a std::string.
+  std::string probe;
+  const auto find = [&](std::string_view key) -> const std::string* {
+    probe.assign(key);
+    const auto it = entries.find(probe);
+    return it == entries.end() ? nullptr : &it->second;
   };
 
-  for (const auto& [key, value] : entries) {
-    const auto it = setters.find(key);
-    if (it == setters.end()) {
-      throw ConfigError("unknown config key '" + key + "'");
+  std::size_t applied = 0;
+  for_each_field(cfg, [&]<class Row>(const Row& row) {
+    if constexpr (is_keyed_field<Row>) {
+      if (const std::string* value = find(row.key)) {
+        parse_into(row.key, *value, row.value);
+        ++applied;
+      }
     }
-    it->second(key, value);
+  });
+  // The three special-cased keys (see config_fields.hpp).
+  if (const std::string* value = find("topology.region_size")) {
+    const double side = parse_real("topology.region_size", *value);
+    cfg.topology.region = {{0.0, 0.0}, {side, side}};
+    ++applied;
+  }
+  if (const std::string* value = find("seed")) {
+    cfg.seed = parse_integer<std::uint64_t>("seed", *value);
+    ++applied;
+  }
+  if (find("horizon")) cfg.attack.campaign_deadline = cfg.horizon;
+
+  if (applied != entries.size()) {
+    for (const auto& [key, value] : entries) {
+      bool known = key == "topology.region_size" || key == "seed";
+      for_each_field(cfg, [&]<class Row>(const Row& row) {
+        if constexpr (is_keyed_field<Row>) known = known || row.key == key;
+      });
+      if (!known) throw ConfigError("unknown config key '" + key + "'");
+    }
+  }
+  if (find("fleet.size") && cfg.fleet_size == 0) {
+    throw ConfigError("'fleet.size' must be >= 1");
   }
   // The simulator runs to the horizon, so an infinite one need never
   // return; a NaN or non-positive one describes no mission.
   if (!std::isfinite(cfg.horizon) || cfg.horizon <= 0.0) {
     throw ConfigError("horizon must be finite and > 0");
   }
-  // Fault parameters carry cross-field constraints (e.g. drop + delay
-  // probabilities summing past 1), so the whole section validates at load
-  // time rather than at the first run_mission call.  The topology class /
-  // corridor knobs and the mobility/coverage sections carry the same kind
-  // of constraints (speed and pause ordering, positive ratios), so they
-  // validate here too.
+  // Sections with cross-field constraints (fault probabilities summing past
+  // 1, speed and pause ordering, positive ratios, thresholds inside (0, 1))
+  // validate at load time rather than at the first run_mission call.
   cfg.faults.validate();
   cfg.topology.validate();
-  cfg.world.mobility.validate();
-  cfg.world.coverage.validate();
+  cfg.world.validate();
   cfg.policy.validate();
   return cfg;
 }

@@ -12,7 +12,11 @@
 //   horizon             = 432000
 //   seed                = 7
 //
-// Unknown keys throw (catching typos beats silently ignoring them).
+// The accepted keys are the keyed rows of analysis/config_fields.hpp plus
+// `topology.region_size` (a square region's side) and `seed`.  Unknown keys
+// throw (catching typos beats silently ignoring them).  Reals must be
+// finite; integers are plain decimal digits (no sign, fraction, exponent or
+// overflow); enums take the names listed beside the field list.
 #pragma once
 
 #include <istream>

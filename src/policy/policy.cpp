@@ -112,36 +112,4 @@ std::unique_ptr<AttackPolicy> make_attack_policy(
       params, std::move(rng), base_pace_limit, base_leak_ratio);
 }
 
-std::string_view attack_policy_label(AttackPolicyKind kind) {
-  switch (kind) {
-    case AttackPolicyKind::Static: return "static";
-    case AttackPolicyKind::EpsilonGreedy: return "eps-greedy";
-    case AttackPolicyKind::Ucb: return "ucb";
-  }
-  return "static";
-}
-
-std::string_view defender_policy_label(DefenderPolicyKind kind) {
-  switch (kind) {
-    case DefenderPolicyKind::Static: return "static";
-    case DefenderPolicyKind::Adaptive: return "adaptive";
-  }
-  return "static";
-}
-
-AttackPolicyKind parse_attack_policy(const std::string& name) {
-  if (name == "static") return AttackPolicyKind::Static;
-  if (name == "eps-greedy") return AttackPolicyKind::EpsilonGreedy;
-  if (name == "ucb") return AttackPolicyKind::Ucb;
-  throw ConfigError("unknown attack policy '" + name +
-                    "' (expected static|eps-greedy|ucb)");
-}
-
-DefenderPolicyKind parse_defender_policy(const std::string& name) {
-  if (name == "static") return DefenderPolicyKind::Static;
-  if (name == "adaptive") return DefenderPolicyKind::Adaptive;
-  throw ConfigError("unknown defender policy '" + name +
-                    "' (expected static|adaptive)");
-}
-
 }  // namespace wrsn::policy

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
 
 #include "common/rng.hpp"
@@ -43,6 +42,25 @@ enum class DefenderPolicyKind {
   Static,    ///< deployment-calibrated thresholds, fixed for the mission
   Adaptive,  ///< thresholds re-tuned per trace window (detect/adaptive.hpp)
 };
+
+/// Stable labels: the config keys' accepted names and the bandit's name();
+/// digests stay numeric.
+constexpr std::string_view attack_policy_label(AttackPolicyKind kind) {
+  switch (kind) {
+    case AttackPolicyKind::Static: return "static";
+    case AttackPolicyKind::EpsilonGreedy: return "eps-greedy";
+    case AttackPolicyKind::Ucb: return "ucb";
+  }
+  return "static";
+}
+
+constexpr std::string_view defender_policy_label(DefenderPolicyKind kind) {
+  switch (kind) {
+    case DefenderPolicyKind::Static: return "static";
+    case DefenderPolicyKind::Adaptive: return "adaptive";
+  }
+  return "static";
+}
 
 /// `[policy.*]` attacker half.  Only read in Attack mode.
 struct AttackPolicyParams {
@@ -132,7 +150,9 @@ class StaticAttackPolicy final : public AttackPolicy {
  public:
   StaticAttackPolicy(std::size_t pace_limit, double leak_ratio)
       : pace_limit_(pace_limit), leak_ratio_(leak_ratio) {}
-  std::string_view name() const override { return "static"; }
+  std::string_view name() const override {
+    return attack_policy_label(AttackPolicyKind::Static);
+  }
   SpoofDecision decide(const SpoofQuery& query) override;
   void observe_death(Seconds, bool) override {}
 
@@ -156,7 +176,7 @@ class BanditAttackPolicy final : public AttackPolicy {
   BanditAttackPolicy(const AttackPolicyParams& params, Rng rng,
                      std::size_t base_pace_limit, double base_leak_ratio);
   std::string_view name() const override {
-    return kind_ == AttackPolicyKind::Ucb ? "ucb" : "eps-greedy";
+    return attack_policy_label(kind_);
   }
   SpoofDecision decide(const SpoofQuery& query) override;
   void observe_death(Seconds at, bool own_kill) override;
@@ -194,12 +214,5 @@ class BanditAttackPolicy final : public AttackPolicy {
 std::unique_ptr<AttackPolicy> make_attack_policy(
     const AttackPolicyParams& params, Rng rng, std::size_t base_pace_limit,
     double base_leak_ratio);
-
-/// Stable labels, used by config parsing, digests stay numeric.
-std::string_view attack_policy_label(AttackPolicyKind kind);
-std::string_view defender_policy_label(DefenderPolicyKind kind);
-/// Inverse of the labels; throws ConfigError on unknown names.
-AttackPolicyKind parse_attack_policy(const std::string& name);
-DefenderPolicyKind parse_defender_policy(const std::string& name);
 
 }  // namespace wrsn::policy

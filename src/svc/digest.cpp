@@ -1,152 +1,26 @@
 #include "svc/digest.hpp"
 
+#include <type_traits>
+#include <vector>
+
+#include "analysis/config_fields.hpp"
 #include "common/fnv.hpp"
 
 namespace wrsn::svc {
 namespace {
 
-// Every mixer walks its struct in declaration order.  When a field is added
-// to a config struct, add it here too — svc_test's field-sensitivity sweep
-// exists to catch the omission.
-
-void mix_charger(Fnv& fnv, const mc::ChargerParams& c) {
-  fnv.mix(c.depot.x);
-  fnv.mix(c.depot.y);
-  fnv.mix(c.speed);
-  fnv.mix(c.battery_capacity);
-  fnv.mix(c.travel_cost_per_meter);
-  fnv.mix(c.pa_efficiency);
-  fnv.mix(c.depot_recharge_power);
+// One overload per value kind of the field list (analysis/config_fields.hpp).
+void mix(Fnv& fnv, double value) { fnv.mix(value); }
+void mix(Fnv& fnv, std::uint64_t value) { fnv.mix(value); }
+void mix(Fnv& fnv, bool value) { fnv.mix(std::uint64_t{value ? 1u : 0u}); }
+template <class E>
+  requires std::is_enum_v<E>
+void mix(Fnv& fnv, E value) {
+  fnv.mix(static_cast<std::uint64_t>(value));
 }
-
-void mix_territory(Fnv& fnv, const std::vector<net::NodeId>& territory) {
+void mix(Fnv& fnv, const std::vector<net::NodeId>& territory) {
   fnv.mix(std::uint64_t{territory.size()});
   for (const net::NodeId id : territory) fnv.mix(std::uint64_t{id});
-}
-
-void mix_topology(Fnv& fnv, const net::TopologyConfig& t) {
-  fnv.mix(t.region.lo.x);
-  fnv.mix(t.region.lo.y);
-  fnv.mix(t.region.hi.x);
-  fnv.mix(t.region.hi.y);
-  fnv.mix(std::uint64_t{t.node_count});
-  fnv.mix(t.comm_range);
-  fnv.mix(std::uint64_t(t.deployment));
-  fnv.mix(std::uint64_t{t.sink_at_center ? 1u : 0u});
-  fnv.mix(t.sink_position.x);
-  fnv.mix(t.sink_position.y);
-  fnv.mix(t.mean_data_rate_bps);
-  fnv.mix(t.battery_capacity);
-  fnv.mix(t.min_separation);
-  fnv.mix(std::uint64_t{t.cluster_count});
-  fnv.mix(t.cluster_sigma_fraction);
-  fnv.mix(t.cluster_background_fraction);
-  fnv.mix(std::uint64_t{t.corridor_count});
-  fnv.mix(std::uint64_t{t.class_count});
-  fnv.mix(t.class_capacity_ratio);
-  fnv.mix(t.class_rate_ratio);
-  fnv.mix(std::uint64_t{t.max_attempts});
-}
-
-void mix_world(Fnv& fnv, const sim::WorldParams& w) {
-  fnv.mix(w.request_threshold);
-  fnv.mix(w.min_request_gap);
-  fnv.mix(w.patience);
-  fnv.mix(w.charge_target_fraction);
-  fnv.mix(w.benign_gain_mean);
-  fnv.mix(w.benign_gain_cv);
-  fnv.mix(w.initial_level_min);
-  fnv.mix(w.initial_level_max);
-  fnv.mix(std::uint64_t{w.emergency_enabled ? 1u : 0u});
-  fnv.mix(w.emergency_fraction);
-  fnv.mix(w.emergency_patience);
-  fnv.mix(w.hardware_mtbf);
-  fnv.mix(std::uint64_t(w.update_mode));
-  fnv.mix(w.charging.source_power);
-  fnv.mix(w.charging.gain_product);
-  fnv.mix(w.charging.beta);
-  fnv.mix(w.charging.max_range);
-  fnv.mix(w.charging.dock_distance);
-  fnv.mix(w.charging.wavelength);
-  fnv.mix(w.charging.rectifier.sensitivity);
-  fnv.mix(w.charging.rectifier.max_efficiency);
-  fnv.mix(w.charging.rectifier.knee);
-  fnv.mix(w.charging.rectifier.dc_cap);
-  fnv.mix(w.routing.hop_cost);
-  fnv.mix(w.drain.sensing_power);
-  fnv.mix(w.drain.radio.e_elec);
-  fnv.mix(w.drain.radio.e_amp);
-  fnv.mix(w.mobility.fraction);
-  fnv.mix(w.mobility.interval);
-  fnv.mix(w.mobility.speed_min);
-  fnv.mix(w.mobility.speed_max);
-  fnv.mix(w.mobility.pause_min);
-  fnv.mix(w.mobility.pause_max);
-  fnv.mix(std::uint64_t{w.coverage.k});
-  fnv.mix(w.coverage.radius);
-  fnv.mix(w.coverage.bonus);
-}
-
-void mix_attack(Fnv& fnv, const csa::AttackParams& a) {
-  mix_charger(fnv, a.charger);
-  fnv.mix(std::uint64_t(a.key_selection.rule));
-  fnv.mix(std::uint64_t{a.key_selection.max_count});
-  fnv.mix(std::uint64_t{a.key_selection.min_disconnect});
-  fnv.mix(a.spoofing.antenna_separation);
-  fnv.mix(a.spoofing.phase_jitter_sigma);
-  fnv.mix(a.spoofing.amplitude_imbalance);
-  fnv.mix(std::uint64_t(a.spoof_mode));
-  fnv.mix(a.partial_leak_ratio);
-  fnv.mix(a.window_margin);
-  fnv.mix(a.lookahead);
-  fnv.mix(a.campaign_deadline);
-  fnv.mix(a.campaign_slack);
-  fnv.mix(std::uint64_t{a.pace_limit});
-  fnv.mix(a.pace_window);
-  fnv.mix(a.comm_antenna_offset);
-  fnv.mix(a.battery_reserve_fraction);
-  mix_territory(fnv, a.territory);
-}
-
-void mix_benign(Fnv& fnv, const mc::AgentParams& b) {
-  mix_charger(fnv, b.charger);
-  fnv.mix(std::uint64_t(b.policy));
-  fnv.mix(std::uint64_t{b.preempt_travel ? 1u : 0u});
-  fnv.mix(b.battery_reserve_fraction);
-  mix_territory(fnv, b.territory);
-  fnv.mix(std::uint64_t{b.tour_batch});
-  fnv.mix(b.tour_max_wait);
-}
-
-void mix_policy(Fnv& fnv, const policy::PolicyParams& p) {
-  fnv.mix(std::uint64_t(p.attacker.kind));
-  fnv.mix(p.attacker.epsilon);
-  fnv.mix(p.attacker.ucb_c);
-  fnv.mix(p.attacker.epoch);
-  fnv.mix(p.attacker.risk_weight);
-  fnv.mix(std::uint64_t{p.attacker.risk_budget});
-  fnv.mix(std::uint64_t(p.defender.kind));
-  fnv.mix(p.defender.window);
-  fnv.mix(p.defender.quantile);
-  fnv.mix(std::uint64_t{p.defender.min_samples});
-}
-
-void mix_faults(Fnv& fnv, const fault::FaultParams& f) {
-  fnv.mix(f.mc_breakdown_mtbf);
-  fnv.mix(f.mc_repair_mean);
-  fnv.mix(f.mc_budget_loss);
-  fnv.mix(f.mc_permanent_at);
-  fnv.mix(f.node_burst_mtbf);
-  fnv.mix(std::uint64_t{f.node_burst_size});
-  fnv.mix(f.phase_noise_mtbf);
-  fnv.mix(f.phase_noise_duration);
-  fnv.mix(f.phase_noise_scale);
-  fnv.mix(f.escalation_drop_prob);
-  fnv.mix(f.escalation_delay_prob);
-  fnv.mix(f.escalation_delay_max);
-  fnv.mix(f.battery_drift_mtbf);
-  fnv.mix(f.battery_drift_power);
-  fnv.mix(f.battery_drift_duration);
 }
 
 }  // namespace
@@ -155,17 +29,9 @@ std::uint64_t scenario_digest(const analysis::ScenarioConfig& config,
                               analysis::ChargerMode mode) noexcept {
   Fnv fnv;
   fnv.mix(std::uint64_t(mode));
-  mix_topology(fnv, config.topology);
-  mix_world(fnv, config.world);
-  mix_attack(fnv, config.attack);
-  mix_benign(fnv, config.benign);
-  fnv.mix(config.horizon);
-  // config.seed deliberately NOT mixed: the key is (digest, seed).
-  fnv.mix(std::uint64_t{config.hardened_detectors ? 1u : 0u});
-  mix_faults(fnv, config.faults);
-  fnv.mix(std::uint64_t{config.fleet_size});
-  fnv.mix(std::uint64_t{config.fleet_compromised});
-  mix_policy(fnv, config.policy);
+  // config.seed is not a field-list row: the key is (digest, seed).
+  analysis::for_each_field(config,
+                           [&](const auto& row) { mix(fnv, row.value); });
   return fnv.hash();
 }
 

@@ -8,11 +8,12 @@
 // (digest, seed) pair.
 //
 // Order invariance is by construction: overrides land in a ScenarioConfig
-// first (config_io applies a sorted map onto fixed struct fields) and the
-// digest walks the struct in declaration order, so two requests describing
-// the same scenario in different override orders — or via INI file vs repro
-// line vs flags — produce the same key.  svc_test pins field sensitivity:
-// mutating any config field must change the digest.
+// first and the digest walks the field list (analysis/config_fields.hpp) in
+// its fixed order, so two requests describing the same scenario in different
+// override orders — or via INI file vs repro line vs flags — produce the
+// same key.  A field added to that list is digested and, if keyed, parsed;
+// svc_test pins every key's digest and checks by hand that mutating any
+// config field changes the digest.
 #pragma once
 
 #include <cstddef>

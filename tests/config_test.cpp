@@ -1,8 +1,14 @@
 // Tests for the INI scenario-configuration loader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
+#include "analysis/config_fields.hpp"
 #include "analysis/config_io.hpp"
 #include "common/check.hpp"
 
@@ -12,6 +18,21 @@ namespace {
 std::map<std::string, std::string> parse(const std::string& text) {
   std::istringstream in(text);
   return parse_ini(in);
+}
+
+/// The keys of the field list's keyed rows whose value type is `T`.
+template <class T>
+std::vector<std::string> keys_holding() {
+  std::vector<std::string> keys;
+  ScenarioConfig cfg = default_scenario();
+  for_each_field(cfg, [&]<class Row>(const Row& row) {
+    if constexpr (is_keyed_field<Row> &&
+                  std::is_same_v<std::remove_cvref_t<decltype(row.value)>,
+                                 T>) {
+      keys.emplace_back(row.key);
+    }
+  });
+  return keys;
 }
 
 TEST(Ini, ParsesKeysCommentsAndSections) {
@@ -145,6 +166,76 @@ TEST(Config, NonFiniteOrNonPositiveHorizonThrows) {
   }
   std::istringstream ok("horizon = 3600\n");
   EXPECT_DOUBLE_EQ(load_config(ok).horizon, 3600.0);
+}
+
+TEST(Config, EveryRealKeyRejectsNonFiniteValues) {
+  // An infinite sensing power once held a service worker at full CPU, and
+  // a NaN mobility interval reached the event kernel.
+  std::vector<std::string> keys = keys_holding<double>();
+  keys.emplace_back("topology.region_size");
+  ASSERT_EQ(keys.size(), 48u);
+  ASSERT_EQ(std::count(keys.begin(), keys.end(), "horizon"), 1);
+  for (const std::string& key : keys) {
+    for (const char* value : {"inf", "-inf", "nan"}) {
+      EXPECT_THROW(apply_config(default_scenario(), {{key, value}}),
+                   ConfigError)
+          << key << '=' << value;
+    }
+  }
+}
+
+TEST(Config, SeedRoundTripsExactly) {
+  // Both once went through a double: the first lost its last bit, the
+  // second overflowed the cast back to an integer.
+  for (const std::uint64_t seed :
+       {std::uint64_t{9'007'199'254'740'993u},
+        std::uint64_t{18'446'744'073'709'551'615u}, std::uint64_t{0}}) {
+    EXPECT_EQ(
+        apply_config(default_scenario(), {{"seed", std::to_string(seed)}})
+            .seed,
+        seed);
+  }
+}
+
+TEST(Config, EveryIntegerKeyRejectsAnythingButPlainDigits) {
+  std::vector<std::string> keys = keys_holding<std::size_t>();
+  keys.emplace_back("seed");
+  ASSERT_EQ(keys.size(), 12u);
+  for (const std::string& key : keys) {
+    for (const char* value : {"inf", "1e30", "1e3", "-1", "+5", "12.5",
+                              "18446744073709551616", "0x10", " 5"}) {
+      EXPECT_THROW(apply_config(default_scenario(), {{key, value}}),
+                   ConfigError)
+          << key << '=' << value;
+    }
+  }
+}
+
+TEST(Config, FieldListKeysAreDistinct) {
+  std::set<std::string> keys;
+  std::size_t rows = 0;
+  ScenarioConfig cfg = default_scenario();
+  for_each_field(cfg, [&]<class Row>(const Row& row) {
+    if constexpr (is_keyed_field<Row>) {
+      keys.emplace(row.key);
+      ++rows;
+    }
+  });
+  // With topology.region_size and seed, the 68 accepted keys.
+  EXPECT_EQ(rows, 66u);
+  EXPECT_EQ(keys.size(), rows);
+  EXPECT_FALSE(keys.contains("seed"));
+  EXPECT_FALSE(keys.contains("topology.region_size"));
+}
+
+TEST(Config, WorldSectionValidatesAtLoadTime) {
+  // Each once loaded and failed only when a mission started.
+  for (const char* line :
+       {"world.request_threshold = 2\n", "world.request_threshold = 0.01\n",
+        "world.initial_level_min = 0\n", "world.patience = 0\n"}) {
+    std::istringstream in(line);
+    EXPECT_THROW(load_config(in), ConfigError) << line;
+  }
 }
 
 TEST(Config, UnsetKeysKeepDefaults) {

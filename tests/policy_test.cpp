@@ -231,23 +231,29 @@ TEST(PolicyParams, ValidateRejectsBadValues) {
 }
 
 TEST(PolicyParams, LabelsRoundTrip) {
+  // The config keys accept exactly the labels, each naming its own kind.
+  const analysis::ScenarioConfig base = analysis::default_scenario();
   for (const policy::AttackPolicyKind kind :
        {policy::AttackPolicyKind::Static,
         policy::AttackPolicyKind::EpsilonGreedy,
         policy::AttackPolicyKind::Ucb}) {
-    EXPECT_EQ(policy::parse_attack_policy(
-                  std::string(policy::attack_policy_label(kind))),
+    const std::string label(policy::attack_policy_label(kind));
+    EXPECT_EQ(analysis::apply_config(base, {{"policy.attacker", label}})
+                  .policy.attacker.kind,
               kind);
   }
   for (const policy::DefenderPolicyKind kind :
        {policy::DefenderPolicyKind::Static,
         policy::DefenderPolicyKind::Adaptive}) {
-    EXPECT_EQ(policy::parse_defender_policy(
-                  std::string(policy::defender_policy_label(kind))),
+    const std::string label(policy::defender_policy_label(kind));
+    EXPECT_EQ(analysis::apply_config(base, {{"policy.defender", label}})
+                  .policy.defender.kind,
               kind);
   }
-  EXPECT_THROW(policy::parse_attack_policy("thompson"), ConfigError);
-  EXPECT_THROW(policy::parse_defender_policy("oracle"), ConfigError);
+  EXPECT_THROW(analysis::apply_config(base, {{"policy.attacker", "thompson"}}),
+               ConfigError);
+  EXPECT_THROW(analysis::apply_config(base, {{"policy.defender", "oracle"}}),
+               ConfigError);
 }
 
 // ---------------------------------------------------------------------------

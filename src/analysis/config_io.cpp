@@ -176,7 +176,7 @@ ScenarioConfig apply_config(
   cfg.faults.validate();
   cfg.topology.validate();
   cfg.world.validate();
-  cfg.policy.validate();
+  cfg.policy.validate(cfg.horizon);
   return cfg;
 }
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "detect/adaptive.hpp"
 #include "fault/injector.hpp"
 #include "mc/fleet.hpp"
 #include "obs/metrics.hpp"
@@ -185,17 +184,14 @@ DetectorSetup make_detector_setup(const ScenarioConfig& config,
       .suite = {},
       .context = {},
   };
-  // The defender policy selects the suite: Static deploys the fixed PR-4
-  // calibration; Adaptive swaps in the per-window threshold re-tuners
-  // (detect/adaptive.hpp), same lineup and size either way.
-  setup.suite =
-      config.policy.defender.kind == policy::DefenderPolicyKind::Adaptive
-          ? detect::make_adaptive_suite(setup.calibration,
-                                        config.policy.defender,
-                                        config.hardened_detectors)
-          : (config.hardened_detectors
-                 ? detect::make_hardened_suite(setup.calibration)
-                 : detect::make_deployed_suite(setup.calibration));
+  // The defender policy decides whether the suite's thresholds stay at the
+  // deployment calibration (Static) or are re-tuned per trace window
+  // (Adaptive); the lineup and size are the same either way.
+  setup.suite = config.hardened_detectors
+                    ? detect::make_hardened_suite(setup.calibration,
+                                                  config.policy.defender)
+                    : detect::make_deployed_suite(setup.calibration,
+                                                  config.policy.defender);
   setup.context.network = &world.network();
   setup.context.charging_model = &world.charging_model();
   setup.context.nominal_dc = world.nominal_dc_power();

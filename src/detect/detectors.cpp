@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -13,15 +14,14 @@
 
 namespace wrsn::detect {
 
-// Definitions for detect/metered.hpp — shared with the adaptive detectors,
-// which must draw noise and decide placement exactly like the static suite.
+namespace {
 
-double node_uniform(std::uint64_t seed, net::NodeId node,
-                    std::string_view purpose) {
-  Rng rng(seed);
-  return rng.fork(purpose).fork(std::to_string(node)).uniform();
-}
-
+/// Deterministic per-(seed, node, per-node ordinal) gauge noise draw.  The
+/// ordinal counts the node's *own* sessions in trace order, so a node's
+/// noise stream is a pure function of its own session history — an
+/// unrelated session elsewhere in the trace cannot shift the draws and flip
+/// detection outcomes between otherwise-identical scenarios.  (The old key
+/// was the global session index, which did exactly that.)
 double session_noise(const DetectorContext& ctx, net::NodeId node,
                      std::uint64_t ordinal, Joules capacity) {
   Rng rng(ctx.noise_seed);
@@ -31,10 +31,54 @@ double session_noise(const DetectorContext& ctx, net::NodeId node,
       .normal(0.0, ctx.soc_noise_fraction * capacity);
 }
 
-bool node_audited(bool use_set, const std::set<net::NodeId>& audited,
-                  double fraction, std::uint64_t seed, net::NodeId node) {
-  if (use_set) return audited.count(node) > 0;
-  return node_uniform(seed, node, "coulomb-equip") < fraction;
+/// The calibration rule mean + q*sqrt(mean) + 1, rounded up, with no floor:
+/// calibrated_death_threshold floors it at 5, the adaptive thresholds at
+/// their static value.
+std::size_t recalibrated_bound(double expected, double quantile) {
+  WRSN_ASSERT(expected >= 0.0);
+  const double bound = expected + quantile * std::sqrt(expected) + 1.0;
+  return static_cast<std::size_t>(std::ceil(bound));
+}
+
+/// Deterministic median: middle element of the sorted copy (upper-middle on
+/// even counts) — no averaging, so the estimate is always a sample value.
+double median_of(std::vector<double> values) {
+  WRSN_ASSERT(!values.empty());
+  const std::size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + std::ptrdiff_t(mid),
+                   values.end());
+  return values[mid];
+}
+
+}  // namespace
+
+bool MeterPlacement::audited(std::uint64_t seed, net::NodeId node) const {
+  if (nodes_.has_value()) return nodes_->count(node) > 0;
+  // One draw per (seed, node): every detector meters the same nodes.
+  Rng rng(seed);
+  return rng.fork("coulomb-equip").fork(std::to_string(node)).uniform() <
+         fraction_;
+}
+
+std::optional<Detection> for_each_metered_session(
+    const sim::Trace& trace, const DetectorContext& ctx,
+    const MeterPlacement& placement, Joules min_expected,
+    const MeteredVisit& visit) {
+  WRSN_REQUIRE(ctx.network != nullptr, "context missing network");
+  std::map<net::NodeId, std::uint64_t> ordinals;
+  for (const sim::SessionRecord& s : trace.sessions) {
+    const std::uint64_t ordinal = ordinals[s.node]++;
+    if (s.expected_gain < min_expected || s.expected_gain <= 0.0) continue;
+    if (!placement.audited(ctx.noise_seed, s.node)) continue;
+    WRSN_OBS_COUNT(kDetectSessionsAudited);
+    const Joules capacity = ctx.network->node(s.node).battery_capacity;
+    const Joules measured = std::max(
+        0.0, s.delivered + session_noise(ctx, s.node, ordinal, capacity));
+    if (auto detection = visit(s, measured / s.expected_gain)) {
+      return detection;
+    }
+  }
+  return std::nullopt;
 }
 
 void DetectorSuite::add(std::unique_ptr<Detector> detector) {
@@ -108,7 +152,6 @@ std::optional<Detection> NeighborVotingDetector::analyze(
 
 std::optional<Detection> ServiceAuditDetector::analyze(
     const sim::Trace& trace, const DetectorContext& ctx) const {
-  (void)ctx;
   std::optional<Detection> best;
   const auto consider = [&best](Seconds time, net::NodeId node,
                                 std::string reason) {
@@ -117,9 +160,41 @@ std::optional<Detection> ServiceAuditDetector::analyze(
     }
   };
 
-  if (trace.escalations.size() >= escalation_limit_) {
-    const sim::EscalationRecord& e = trace.escalations[escalation_limit_ - 1];
-    consider(e.time, e.node, "escalation count exceeds calibrated budget");
+  // Escalation budget.  Adaptive: the cumulative count is tested against
+  // expected-so-far + q*sigma + 1 under the estimated benign escalation
+  // rate, never below the static budget.  The estimate only uses COMPLETED
+  // windows; its prior spreads the static budget over the horizon.
+  const bool adaptive = policy_.adaptive();
+  const Seconds tune = policy_.window;
+  const double prior_per_window =
+      ctx.horizon > 0.0 ? double(escalation_limit_) * tune / ctx.horizon
+                        : 0.0;
+  const double pseudo = double(policy_.min_samples);
+  Seconds tune_end = tune;
+  std::size_t completed = 0;
+  double rate = prior_per_window;  // per tuning window
+  for (std::size_t i = 0; i < trace.escalations.size(); ++i) {
+    const sim::EscalationRecord& e = trace.escalations[i];
+    std::size_t budget = escalation_limit_;
+    if (adaptive) {
+      while (tune_end <= e.time) {
+        ++completed;
+        if (completed >= policy_.min_samples) {
+          rate = (prior_per_window * pseudo + double(i)) /
+                 (pseudo + double(completed));
+        }
+        tune_end += tune;
+      }
+      const double expected_so_far = rate * (e.time / tune);
+      budget = std::max(budget,
+                        recalibrated_bound(expected_so_far, policy_.quantile));
+    }
+    if (i + 1 >= budget) {
+      consider(e.time, e.node,
+               adaptive ? "escalation count exceeds adaptively re-tuned budget"
+                        : "escalation count exceeds calibrated budget");
+      break;  // escalations are time-ordered; first breach is earliest
+    }
   }
   // A single died-while-waiting event is ambiguous (a hardware failure can
   // strike a queued node); repeated ones implicate the charging service.
@@ -143,9 +218,33 @@ std::optional<Detection> ServiceAuditDetector::analyze(
 
 std::optional<Detection> DeathRateDetector::analyze(
     const sim::Trace& trace, const DetectorContext& ctx) const {
-  (void)ctx;
+  // Adaptive: shrink the observed rate toward the deployment prior (the
+  // context's expected background deaths per monitoring window) with
+  // min_samples pseudo-windows of weight, so one quiet or stormy early
+  // window cannot whipsaw the bound.
+  const bool adaptive = policy_.adaptive();
+  const Seconds tune = policy_.window;
+  const double prior = ctx.expected_deaths_per_window;
+  const double pseudo = double(policy_.min_samples);
+  Seconds tune_end = tune;
+  std::size_t completed = 0;
+  std::size_t threshold = death_threshold_;
   std::deque<Seconds> window_deaths;
-  for (const sim::DeathRecord& d : trace.deaths) {
+  for (std::size_t i = 0; i < trace.deaths.size(); ++i) {
+    const sim::DeathRecord& d = trace.deaths[i];
+    while (adaptive && tune_end <= d.time) {
+      ++completed;
+      if (completed >= policy_.min_samples) {
+        // `i` deaths fell inside the completed tuning windows.
+        const double observed_rate =
+            double(i) / double(completed) * (window_ / tune);
+        const double rate = (prior * pseudo + observed_rate * completed) /
+                            (pseudo + double(completed));
+        threshold = std::max(death_threshold_,
+                             recalibrated_bound(rate, policy_.quantile));
+      }
+      tune_end += tune;
+    }
     window_deaths.push_back(d.time);
     // The monitoring window is OPEN at its left edge, (t - window_, t]: a
     // death exactly window_ seconds old has aged out, matching the
@@ -156,8 +255,10 @@ std::optional<Detection> DeathRateDetector::analyze(
            window_deaths.front() <= d.time - window_) {
       window_deaths.pop_front();
     }
-    if (window_deaths.size() >= death_threshold_) {
-      return Detection{d.time, d.node, "death rate exceeds calibrated bound"};
+    if (window_deaths.size() >= threshold) {
+      return Detection{d.time, d.node,
+                       adaptive ? "death rate exceeds adaptively re-tuned bound"
+                                : "death rate exceeds calibrated bound"};
     }
   }
   return std::nullopt;
@@ -165,92 +266,88 @@ std::optional<Detection> DeathRateDetector::analyze(
 
 std::optional<Detection> EnergyDeltaDetector::analyze(
     const sim::Trace& trace, const DetectorContext& ctx) const {
-  WRSN_REQUIRE(ctx.network != nullptr, "context missing network");
-  SessionOrdinals ordinals;
-  for (std::size_t i = 0; i < trace.sessions.size(); ++i) {
-    const sim::SessionRecord& s = trace.sessions[i];
-    const std::uint64_t ordinal = ordinals.next(s.node);
-    if (s.expected_gain < min_expected_) continue;
-    if (!node_audited(use_set_, audited_, audit_fraction_, ctx.noise_seed,
-                      s.node)) {
-      continue;
-    }
-    WRSN_OBS_COUNT(kDetectSessionsAudited);
-    const Joules capacity = ctx.network->node(s.node).battery_capacity;
-    const Joules measured =
-        std::max(0.0, s.delivered + session_noise(ctx, s.node, ordinal, capacity));
-    if (measured / s.expected_gain < ratio_threshold_) {
-      return Detection{s.end, s.node,
-                       "metered harvest far below session expectation"};
-    }
-  }
-  return std::nullopt;
+  // Adaptive: each session is judged by the threshold tuned on PRIOR
+  // windows only, then joins the estimation sample.  Sessions are recorded
+  // at their end, so `end` never decreases along the walk and windows close
+  // at the audited sessions exactly as at every session.
+  const bool adaptive = policy_.adaptive();
+  const Seconds tune = policy_.window;
+  const double cv = std::max(1e-9, ctx.benign_gain_cv);
+  std::vector<double> window_ratios;
+  std::vector<double> window_medians;
+  Seconds tune_end = tune;
+  double threshold = ratio_threshold_;
+  return for_each_metered_session(
+      trace, ctx, placement_, min_expected_,
+      [&](const sim::SessionRecord& s,
+          double ratio) -> std::optional<Detection> {
+        while (adaptive && tune_end <= s.end) {
+          // Windows with too few audited samples do not contribute a
+          // median — an empty window says nothing about the benign ratio
+          // distribution.
+          if (window_ratios.size() >= 3) {
+            window_medians.push_back(median_of(std::move(window_ratios)));
+            window_ratios.clear();
+            if (window_medians.size() >= policy_.min_samples) {
+              const double m = median_of(window_medians);
+              threshold = std::clamp(m - policy_.quantile * cv * m,
+                                     ratio_threshold_, 0.9);
+            }
+          }
+          tune_end += tune;
+        }
+        if (ratio < threshold) {
+          return Detection{
+              s.end, s.node,
+              adaptive ? "metered harvest below adaptively re-tuned bound"
+                       : "metered harvest far below session expectation"};
+        }
+        if (adaptive) window_ratios.push_back(ratio);
+        return std::nullopt;
+      });
 }
 
 std::optional<Detection> CusumShortfallDetector::analyze(
     const sim::Trace& trace, const DetectorContext& ctx) const {
-  WRSN_REQUIRE(ctx.network != nullptr, "context missing network");
   // Expectations are fleet-calibrated: benign measured/expected averages 1
   // with standard deviation ~= the benign gain CV.
   const double sigma = std::max(1e-9, ctx.benign_gain_cv);
   std::map<net::NodeId, double> stat;
-  SessionOrdinals ordinals;
-  for (std::size_t i = 0; i < trace.sessions.size(); ++i) {
-    const sim::SessionRecord& s = trace.sessions[i];
-    const std::uint64_t ordinal = ordinals.next(s.node);
-    if (s.expected_gain <= 0.0) continue;
-    if (!node_audited(use_set_, audited_, audit_fraction_, ctx.noise_seed,
-                      s.node)) {
-      continue;
-    }
-    WRSN_OBS_COUNT(kDetectSessionsAudited);
-    const Joules capacity = ctx.network->node(s.node).battery_capacity;
-    const Joules measured =
-        std::max(0.0, s.delivered + session_noise(ctx, s.node, ordinal, capacity));
-    const double ratio = measured / s.expected_gain;
-    double& value = stat[s.node];
-    value = std::max(0.0, value + (1.0 - ratio) / sigma - k_);
-    if (value > h_) {
-      return Detection{s.end, s.node,
-                       "sequential harvest shortfall exceeds CUSUM bound"};
-    }
-  }
-  return std::nullopt;
+  return for_each_metered_session(
+      trace, ctx, placement_, /*min_expected=*/0.0,
+      [&](const sim::SessionRecord& s,
+          double ratio) -> std::optional<Detection> {
+        double& value = stat[s.node];
+        value = std::max(0.0, value + (1.0 - ratio) / sigma - k_);
+        if (value > h_) {
+          return Detection{s.end, s.node,
+                           "sequential harvest shortfall exceeds CUSUM bound"};
+        }
+        return std::nullopt;
+      });
 }
 
 std::optional<Detection> FleetCusumDetector::analyze(
     const sim::Trace& trace, const DetectorContext& ctx) const {
-  WRSN_REQUIRE(ctx.network != nullptr, "context missing network");
   const double sigma = std::max(1e-9, ctx.benign_gain_cv);
   double stat = 0.0;
-  SessionOrdinals ordinals;
-  for (std::size_t i = 0; i < trace.sessions.size(); ++i) {
-    const sim::SessionRecord& s = trace.sessions[i];
-    const std::uint64_t ordinal = ordinals.next(s.node);
-    if (s.expected_gain <= 0.0) continue;
-    if (!node_audited(use_set_, audited_, audit_fraction_, ctx.noise_seed,
-                      s.node)) {
-      continue;
-    }
-    WRSN_OBS_COUNT(kDetectSessionsAudited);
-    const Joules capacity = ctx.network->node(s.node).battery_capacity;
-    const Joules measured =
-        std::max(0.0, s.delivered + session_noise(ctx, s.node, ordinal, capacity));
-    const double ratio = measured / s.expected_gain;
-    stat = std::max(0.0, stat + (1.0 - ratio) / sigma - k_);
-    if (stat > h_) {
-      return Detection{s.end, net::kInvalidNode,
-                       "fleet-wide harvest shortfall exceeds CUSUM bound"};
-    }
-  }
-  return std::nullopt;
+  return for_each_metered_session(
+      trace, ctx, placement_, /*min_expected=*/0.0,
+      [&](const sim::SessionRecord& s,
+          double ratio) -> std::optional<Detection> {
+        stat = std::max(0.0, stat + (1.0 - ratio) / sigma - k_);
+        if (stat > h_) {
+          return Detection{s.end, net::kInvalidNode,
+                           "fleet-wide harvest shortfall exceeds CUSUM bound"};
+        }
+        return std::nullopt;
+      });
 }
 
 std::size_t calibrated_death_threshold(double expected_deaths_per_window) {
   WRSN_REQUIRE(expected_deaths_per_window >= 0.0, "negative rate");
-  const double bound = expected_deaths_per_window +
-                       3.0 * std::sqrt(expected_deaths_per_window) + 1.0;
-  return std::max<std::size_t>(5, static_cast<std::size_t>(std::ceil(bound)));
+  return std::max<std::size_t>(
+      5, recalibrated_bound(expected_deaths_per_window, 3.0));
 }
 
 SuiteCalibration SuiteCalibration::for_deployment(
@@ -264,19 +361,24 @@ SuiteCalibration SuiteCalibration::for_deployment(
   return cal;
 }
 
-DetectorSuite make_deployed_suite(const SuiteCalibration& cal) {
+DetectorSuite make_deployed_suite(const SuiteCalibration& cal,
+                                  const policy::DefenderPolicyParams& policy) {
+  policy.validate();
   DetectorSuite suite;
   suite.add(std::make_unique<RssiPresenceDetector>());
   suite.add(std::make_unique<NeighborVotingDetector>());
-  suite.add(std::make_unique<ServiceAuditDetector>(cal.escalation_limit, 3,
-                                                   cal.died_waiting_limit));
-  suite.add(std::make_unique<DeathRateDetector>(cal.death_threshold));
+  suite.add(std::make_unique<ServiceAuditDetector>(
+      cal.escalation_limit, 3, cal.died_waiting_limit, policy));
+  suite.add(std::make_unique<DeathRateDetector>(cal.death_threshold,
+                                                86'400.0, policy));
   return suite;
 }
 
-DetectorSuite make_hardened_suite(const SuiteCalibration& cal) {
-  DetectorSuite suite = make_deployed_suite(cal);
-  suite.add(std::make_unique<EnergyDeltaDetector>());
+DetectorSuite make_hardened_suite(const SuiteCalibration& cal,
+                                  const policy::DefenderPolicyParams& policy) {
+  DetectorSuite suite = make_deployed_suite(cal, policy);
+  suite.add(std::make_unique<EnergyDeltaDetector>(MeterPlacement{}, 0.30,
+                                                  500.0, policy));
   suite.add(std::make_unique<CusumShortfallDetector>());
   suite.add(std::make_unique<FleetCusumDetector>());
   return suite;

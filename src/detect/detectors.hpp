@@ -10,12 +10,23 @@
 // Metered-node defenses (require coulomb-counter hardware):
 //   EnergyDeltaDetector    — single-session delivered-vs-expected test
 //   CusumShortfallDetector — sequential per-node shortfall accumulation
+//   FleetCusumDetector     — sequential fleet-wide shortfall accumulation
+//
+// One class per defence.  The `policy::DefenderPolicyParams` a detector is
+// given decide whether its threshold is fixed (Static, the default) or
+// re-tuned per trace window (Adaptive, DESIGN.md §15) for the death-rate,
+// service-audit and energy-delta knobs.  An adaptive detector walks the
+// trace chronologically, closes a tuning window every `policy.window`
+// seconds and recalibrates from everything observed BEFORE the current
+// window (the statistic under test never tunes its own threshold); its
+// threshold is floored at the static one, its name gains an "-adaptive"
+// suffix and its reasons say "adaptively re-tuned".  It is plain
+// deterministic arithmetic over the trace and consumes no randomness.
 #pragma once
 
-#include <set>
-#include <vector>
-
 #include "detect/detector.hpp"
+#include "detect/metered.hpp"
+#include "policy/policy.hpp"
 
 namespace wrsn::detect {
 
@@ -62,16 +73,24 @@ class NeighborVotingDetector final : public Detector {
 /// past patience) exceed a budget calibrated on honest-but-queued service
 /// (benign runs produce a handful from queueing tails), on any node that
 /// dies with a request outstanding (honest service never lets that happen),
-/// or on `emergency_limit` emergency requests from one node.
+/// or on `emergency_limit` emergency requests from one node.  Under an
+/// Adaptive defender the escalation budget becomes a time-scaled cumulative
+/// bound re-tuned per window (expected escalations so far + q sigma + 1,
+/// floored at the static budget); the died-waiting and emergency rules are
+/// event-quality signals and stay static either way.
 class ServiceAuditDetector final : public Detector {
  public:
   explicit ServiceAuditDetector(std::size_t escalation_limit = 8,
                                 std::size_t emergency_limit = 3,
-                                std::size_t died_waiting_limit = 2)
+                                std::size_t died_waiting_limit = 2,
+                                const policy::DefenderPolicyParams& policy = {})
       : escalation_limit_(escalation_limit),
         emergency_limit_(emergency_limit),
-        died_waiting_limit_(died_waiting_limit) {}
-  std::string_view name() const override { return "service-audit"; }
+        died_waiting_limit_(died_waiting_limit),
+        policy_(policy) {}
+  std::string_view name() const override {
+    return policy_.adaptive() ? "service-audit-adaptive" : "service-audit";
+  }
   std::optional<Detection> analyze(const sim::Trace& trace,
                                    const DetectorContext& ctx) const override;
 
@@ -79,61 +98,67 @@ class ServiceAuditDetector final : public Detector {
   std::size_t escalation_limit_;
   std::size_t emergency_limit_;
   std::size_t died_waiting_limit_;
+  policy::DefenderPolicyParams policy_;
 };
 
 /// Death-rate anomaly: fires when `death_threshold` nodes die within any
 /// `window` seconds.  The threshold must be calibrated against the benign
-/// death rate (an honest but overloaded charger also loses nodes).
+/// death rate (an honest but overloaded charger also loses nodes).  Under
+/// an Adaptive defender it is re-derived per tuning window from the
+/// observed background death rate, shrunk toward the context's deployment
+/// prior, with the same mean + q sqrt(mean) + 1 rule the calibration uses;
+/// it never drops below `death_threshold`, so the adaptive detector fires
+/// only where the static one fired first.
 class DeathRateDetector final : public Detector {
  public:
   DeathRateDetector(std::size_t death_threshold = 5,
-                    Seconds window = 86'400.0)
-      : death_threshold_(death_threshold), window_(window) {}
-  std::string_view name() const override { return "death-rate"; }
+                    Seconds window = 86'400.0,
+                    const policy::DefenderPolicyParams& policy = {})
+      : death_threshold_(death_threshold), window_(window), policy_(policy) {}
+  std::string_view name() const override {
+    return policy_.adaptive() ? "death-rate-adaptive" : "death-rate";
+  }
   std::optional<Detection> analyze(const sim::Trace& trace,
                                    const DetectorContext& ctx) const override;
 
  private:
   std::size_t death_threshold_;
   Seconds window_;
+  policy::DefenderPolicyParams policy_;
 };
 
 /// Coulomb-counter single-session audit (hardware defense): nodes measuring
 /// harvested energy compare it with the fleet-calibrated expectation
 /// (measured/expected averages 1.0 on honest sessions); fires when
 /// measured/expected < `ratio_threshold` on a session with expected gain of
-/// at least `min_expected`.  `audit_fraction` of nodes carry the hardware
-/// (selected deterministically).  The default threshold sits ~3.5 sigma
-/// below the benign ratio distribution, for a per-session false-positive
-/// rate of ~2e-4.
+/// at least `min_expected`.  The default threshold sits ~3.5 sigma below
+/// the benign ratio distribution, for a per-session false-positive rate of
+/// ~2e-4.  Under an Adaptive defender the threshold is re-derived from the
+/// MEDIAN audited ratio of completed windows (median, not mean, so a
+/// minority of spoofed sessions cannot drag the estimate down), raised
+/// toward median - q cv median, never below `ratio_threshold` nor above
+/// 0.9: sharper against partial-cancel leaks.
 class EnergyDeltaDetector final : public Detector {
  public:
-  EnergyDeltaDetector(double audit_fraction = 1.0,
+  EnergyDeltaDetector(const MeterPlacement& placement = {},
                       double ratio_threshold = 0.30,
-                      Joules min_expected = 500.0)
-      : audit_fraction_(audit_fraction),
+                      Joules min_expected = 500.0,
+                      const policy::DefenderPolicyParams& policy = {})
+      : placement_(placement),
         ratio_threshold_(ratio_threshold),
-        min_expected_(min_expected) {}
-  /// Budgeted deployment: only the listed nodes carry meters
-  /// (see detect/audit_planner.hpp for placement strategies).
-  EnergyDeltaDetector(std::vector<net::NodeId> audited,
-                      double ratio_threshold = 0.30,
-                      Joules min_expected = 500.0)
-      : audit_fraction_(0.0),
-        audited_(audited.begin(), audited.end()),
-        use_set_(true),
-        ratio_threshold_(ratio_threshold),
-        min_expected_(min_expected) {}
-  std::string_view name() const override { return "energy-delta"; }
+        min_expected_(min_expected),
+        policy_(policy) {}
+  std::string_view name() const override {
+    return policy_.adaptive() ? "energy-delta-adaptive" : "energy-delta";
+  }
   std::optional<Detection> analyze(const sim::Trace& trace,
                                    const DetectorContext& ctx) const override;
 
  private:
-  double audit_fraction_;
-  std::set<net::NodeId> audited_;
-  bool use_set_ = false;
+  MeterPlacement placement_;
   double ratio_threshold_;
   Joules min_expected_;
+  policy::DefenderPolicyParams policy_;
 };
 
 /// Sequential CUSUM on per-node session shortfalls (hardware defense):
@@ -141,25 +166,15 @@ class EnergyDeltaDetector final : public Detector {
 /// the benign mean and fires when the statistic exceeds `h`.
 class CusumShortfallDetector final : public Detector {
  public:
-  CusumShortfallDetector(double audit_fraction = 1.0, double k = 0.5,
+  CusumShortfallDetector(const MeterPlacement& placement = {}, double k = 0.5,
                          double h = 4.0)
-      : audit_fraction_(audit_fraction), k_(k), h_(h) {}
-  /// Budgeted deployment over an explicit metered-node set.
-  CusumShortfallDetector(std::vector<net::NodeId> audited, double k = 0.5,
-                         double h = 4.0)
-      : audit_fraction_(0.0),
-        audited_(audited.begin(), audited.end()),
-        use_set_(true),
-        k_(k),
-        h_(h) {}
+      : placement_(placement), k_(k), h_(h) {}
   std::string_view name() const override { return "cusum-shortfall"; }
   std::optional<Detection> analyze(const sim::Trace& trace,
                                    const DetectorContext& ctx) const override;
 
  private:
-  double audit_fraction_;
-  std::set<net::NodeId> audited_;
-  bool use_set_ = false;
+  MeterPlacement placement_;
   double k_;
   double h_;
 };
@@ -171,25 +186,15 @@ class CusumShortfallDetector final : public Detector {
 /// larger benign sample to stay calibrated against.
 class FleetCusumDetector final : public Detector {
  public:
-  FleetCusumDetector(double audit_fraction = 1.0, double k = 0.5,
+  FleetCusumDetector(const MeterPlacement& placement = {}, double k = 0.5,
                      double h = 8.0)
-      : audit_fraction_(audit_fraction), k_(k), h_(h) {}
-  /// Budgeted deployment over an explicit metered-node set.
-  FleetCusumDetector(std::vector<net::NodeId> audited, double k = 0.5,
-                     double h = 8.0)
-      : audit_fraction_(0.0),
-        audited_(audited.begin(), audited.end()),
-        use_set_(true),
-        k_(k),
-        h_(h) {}
+      : placement_(placement), k_(k), h_(h) {}
   std::string_view name() const override { return "fleet-cusum"; }
   std::optional<Detection> analyze(const sim::Trace& trace,
                                    const DetectorContext& ctx) const override;
 
  private:
-  double audit_fraction_;
-  std::set<net::NodeId> audited_;
-  bool use_set_ = false;
+  MeterPlacement placement_;
   double k_;
   double h_;
 };
@@ -213,10 +218,16 @@ struct SuiteCalibration {
 };
 
 /// The standard deployed suite (everything except the metered-node hardware
-/// defenses, which the evaluation enables separately).
-DetectorSuite make_deployed_suite(const SuiteCalibration& cal = {});
+/// defenses, which the evaluation enables separately).  `policy` decides
+/// whether the death-rate and service-audit thresholds are re-tuned.
+DetectorSuite make_deployed_suite(
+    const SuiteCalibration& cal = {},
+    const policy::DefenderPolicyParams& policy = {});
 
-/// The full suite including coulomb-counter defenses on every node.
-DetectorSuite make_hardened_suite(const SuiteCalibration& cal = {});
+/// The full suite including coulomb-counter defenses on every node; under
+/// an Adaptive `policy` the energy-delta threshold is re-tuned too.
+DetectorSuite make_hardened_suite(
+    const SuiteCalibration& cal = {},
+    const policy::DefenderPolicyParams& policy = {});
 
 }  // namespace wrsn::detect

@@ -1,48 +1,54 @@
-// Shared deterministic-measurement helpers for metered-node detectors.
+// Coulomb-counter metering shared by every metered-node detector.
 //
-// Every detector that reads a coulomb-counter measurement MUST draw its
-// gauge noise through `session_noise` keyed by the node's own session
-// ordinal, and decide hardware placement through `node_audited` — the
+// A metered detector sees the trace only through `for_each_metered_session`:
+// one walk decides hardware placement, draws the gauge noise keyed by the
+// node's own session ordinal, and counts `detect.sessions_audited`.  The
 // ordinal keying is a pinned regression (detect_test), and two detectors
-// disagreeing on either would make their verdicts incomparable.
+// disagreeing on placement or noise would make their verdicts incomparable,
+// so there is no second way to read a measurement.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <optional>
 #include <set>
-#include <string_view>
+#include <vector>
 
 #include "detect/detector.hpp"
 
 namespace wrsn::detect {
 
-/// Deterministic per-(seed, node) uniform draw; used to pick which nodes
-/// carry audit hardware so results are reproducible across detectors.
-double node_uniform(std::uint64_t seed, net::NodeId node,
-                    std::string_view purpose);
-
-/// Deterministic per-(seed, node, per-node ordinal) gauge noise draw.  The
-/// ordinal counts the node's *own* sessions in trace order, so a node's
-/// noise stream is a pure function of its own session history — an
-/// unrelated session elsewhere in the trace cannot shift the draws and flip
-/// detection outcomes between otherwise-identical scenarios.  (The old key
-/// was the global session index, which did exactly that.)
-double session_noise(const DetectorContext& ctx, net::NodeId node,
-                     std::uint64_t ordinal, Joules capacity);
-
-/// Tracks per-node session ordinals while walking a trace.  Every session
-/// of a node advances its ordinal — including ones a detector then skips —
-/// so the noise draw for a given (node, nth-session) pair is stable across
-/// detectors with different filters.
-class SessionOrdinals {
+/// Which nodes carry coulomb-counter hardware: a deterministic fraction of
+/// the fleet (each node drawn once per noise seed), or an explicit node set
+/// (see detect/audit_planner.hpp for budgeted placement strategies).
+class MeterPlacement {
  public:
-  std::uint64_t next(net::NodeId node) { return counts_[node]++; }
+  MeterPlacement(double fraction = 1.0) : fraction_(fraction) {}
+  MeterPlacement(const std::vector<net::NodeId>& nodes)
+      : nodes_(std::in_place, nodes.begin(), nodes.end()) {}
+
+  bool audited(std::uint64_t seed, net::NodeId node) const;
 
  private:
-  std::map<net::NodeId, std::uint64_t> counts_;
+  double fraction_ = 0.0;                       ///< read without a node set
+  std::optional<std::set<net::NodeId>> nodes_;  ///< the metered nodes, if set
 };
 
-bool node_audited(bool use_set, const std::set<net::NodeId>& audited,
-                  double fraction, std::uint64_t seed, net::NodeId node);
+/// Called with an audited session and its noisy measured/expected harvest;
+/// a returned detection ends the walk.
+using MeteredVisit = std::function<std::optional<Detection>(
+    const sim::SessionRecord& session, double ratio)>;
+
+/// Walks `trace.sessions` in order and visits each session a meter audits:
+/// the node carries hardware under `placement`, and the expected gain is
+/// positive and at least `min_expected`.  Every session advances its node's
+/// noise ordinal, audited or not, so a node's draws are a pure function of
+/// its own session history and do not depend on a detector's filter.  The
+/// measurement is the delivered energy plus gauge noise, clamped at 0.
+/// Returns the first detection `visit` returns.
+std::optional<Detection> for_each_metered_session(
+    const sim::Trace& trace, const DetectorContext& ctx,
+    const MeterPlacement& placement, Joules min_expected,
+    const MeteredVisit& visit);
 
 }  // namespace wrsn::detect

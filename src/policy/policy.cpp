@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -31,6 +32,22 @@ void DefenderPolicyParams::validate() const {
   }
   if (min_samples == 0) {
     throw ConfigError("policy.defender_min_samples must be >= 1");
+  }
+}
+
+void PolicyParams::validate(Seconds horizon) const {
+  attacker.validate();
+  defender.validate();
+  if (horizon / attacker.epoch > kMaxPolicyWindows) {
+    throw ConfigError("policy.epoch splits the horizon into more than " +
+                      std::to_string(std::size_t(kMaxPolicyWindows)) +
+                      " epochs");
+  }
+  if (horizon / defender.window > kMaxPolicyWindows) {
+    throw ConfigError("policy.defender_window splits the horizon into more "
+                      "than " +
+                      std::to_string(std::size_t(kMaxPolicyWindows)) +
+                      " windows");
   }
 }
 

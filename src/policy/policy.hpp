@@ -9,11 +9,12 @@
 //     the pre-policy pacing arithmetic bit-for-bit (it consumes no
 //     randomness); the bandit kinds re-select a pacing-aggressiveness arm
 //     once per epoch from a stream forked off the agent's own Rng.
-//   * The DEFENDER's threshold re-tuning is carried by `DefenderPolicyParams`
-//     and realized as adaptive detectors (detect/adaptive.hpp) that
+//   * The DEFENDER's threshold re-tuning is carried by `DefenderPolicyParams`,
+//     which the death-rate, service-audit and energy-delta detectors
+//     (detect/detectors.hpp) take: `DefenderPolicyKind::Adaptive` makes them
 //     recalibrate their death-rate / audit-budget / gain knobs per trace
-//     window.  `DefenderPolicyKind::Static` deploys the unchanged PR-4
-//     suites.
+//     window, `DefenderPolicyKind::Static` keeps the unchanged PR-4
+//     thresholds.
 //
 // Determinism rules: policies draw randomness only from the Rng handed to
 // them at construction (forked with a dedicated label, so the static path
@@ -40,7 +41,7 @@ enum class AttackPolicyKind {
 
 enum class DefenderPolicyKind {
   Static,    ///< deployment-calibrated thresholds, fixed for the mission
-  Adaptive,  ///< thresholds re-tuned per trace window (detect/adaptive.hpp)
+  Adaptive,  ///< thresholds re-tuned per trace window (detect/detectors.hpp)
 };
 
 /// Stable labels: the config keys' accepted names and the bandit's name();
@@ -94,18 +95,24 @@ struct DefenderPolicyParams {
   /// deployment prior.
   std::size_t min_samples = 2;
 
+  bool adaptive() const { return kind == DefenderPolicyKind::Adaptive; }
   void validate() const;
 };
+
+/// Most bandit epochs or tuning windows one mission may span.  Both sides
+/// step through the horizon one window at a time, so a window far below the
+/// horizon holds a worker for seconds to hours; the fuzzer draws 2 to 10
+/// windows per mission and the tournament at most 40.
+inline constexpr double kMaxPolicyWindows = 1e5;
 
 /// The `[policy.*]` INI section: one deterministic adaptive policy per side.
 struct PolicyParams {
   AttackPolicyParams attacker;
   DefenderPolicyParams defender;
 
-  void validate() const {
-    attacker.validate();
-    defender.validate();
-  }
+  /// Validates both halves, and rejects an epoch or tuning window that
+  /// splits `horizon` into more than kMaxPolicyWindows steps.
+  void validate(Seconds horizon) const;
 };
 
 /// Everything the attacker's scheduling policy may observe at one key-node

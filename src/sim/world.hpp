@@ -309,8 +309,8 @@ class World {
   Watts net_drain(net::NodeId id) const {
     return drain_[id] + self_discharge_[id] - charge_[id];
   }
-  /// Battery mutation with the clamped semantics of energy::Battery
-  /// (never negative, never above capacity), on the SoA level lane.
+  /// Battery mutation on the SoA level lane, clamped: a discharge stops at
+  /// empty and a charge stops at capacity.
   void battery_discharge(net::NodeId id, Joules amount) {
     level_[id] -= std::min(amount, level_[id]);
   }

@@ -168,6 +168,30 @@ TEST(Config, NonFiniteOrNonPositiveHorizonThrows) {
   EXPECT_DOUBLE_EQ(load_config(ok).horizon, 3600.0);
 }
 
+TEST(Config, PolicyWindowsPastTheCapThrow) {
+  // Both policies step once per elapsed window: a 1e-5 s defender window
+  // or a 1e-4 s bandit epoch over a 3600 s mission once held a worker for
+  // minutes.  Exactly kMaxPolicyWindows windows still load.
+  const double cap = policy::kMaxPolicyWindows;
+  for (const char* key : {"policy.defender_window", "policy.epoch"}) {
+    for (const char* tiny : {"1e-9", "1e-5", "1e-3"}) {
+      EXPECT_THROW(apply_config(default_scenario(),
+                                {{"horizon", "3600"}, {key, tiny}}),
+                   ConfigError)
+          << key << '=' << tiny;
+    }
+    EXPECT_THROW(apply_config(default_scenario(),
+                              {{"horizon", std::to_string(cap * 2.0)},
+                               {key, "1.5"}}),
+                 ConfigError)
+        << key;
+    EXPECT_NO_THROW(apply_config(
+        default_scenario(),
+        {{"horizon", std::to_string(cap * 2.0)}, {key, "2"}}))
+        << key;
+  }
+}
+
 TEST(Config, EveryRealKeyRejectsNonFiniteValues) {
   // An infinite sensing power once held a service worker at full CPU, and
   // a NaN mobility interval reached the event kernel.

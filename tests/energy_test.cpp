@@ -1,76 +1,20 @@
-// Tests for the battery and first-order radio energy models.
+// Tests for the first-order radio energy model and the battery clamp rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/check.hpp"
-#include "energy/battery.hpp"
+#include "common/rng.hpp"
 #include "energy/radio.hpp"
+#include "net/network.hpp"
+#include "sim/simulator.hpp"
+#include "sim/world.hpp"
 
 namespace wrsn::energy {
 namespace {
-
-TEST(Battery, StartsFullByDefault) {
-  Battery b(100.0);
-  EXPECT_DOUBLE_EQ(b.level(), 100.0);
-  EXPECT_DOUBLE_EQ(b.capacity(), 100.0);
-  EXPECT_DOUBLE_EQ(b.fraction(), 1.0);
-  EXPECT_DOUBLE_EQ(b.headroom(), 0.0);
-  EXPECT_FALSE(b.depleted());
-}
-
-TEST(Battery, ConstructorValidation) {
-  EXPECT_THROW(Battery(0.0), PreconditionError);
-  EXPECT_THROW(Battery(-5.0), PreconditionError);
-  EXPECT_THROW(Battery(10.0, -1.0), PreconditionError);
-  EXPECT_THROW(Battery(10.0, 11.0), PreconditionError);
-  EXPECT_NO_THROW(Battery(10.0, 0.0));
-  EXPECT_NO_THROW(Battery(10.0, 10.0));
-}
-
-TEST(Battery, ChargeClampsAtCapacity) {
-  Battery b(100.0, 90.0);
-  EXPECT_DOUBLE_EQ(b.charge(30.0), 10.0);  // only 10 J fit
-  EXPECT_DOUBLE_EQ(b.level(), 100.0);
-  EXPECT_DOUBLE_EQ(b.charge(5.0), 0.0);
-}
-
-TEST(Battery, DischargeClampsAtZero) {
-  Battery b(100.0, 20.0);
-  EXPECT_DOUBLE_EQ(b.discharge(50.0), 20.0);
-  EXPECT_DOUBLE_EQ(b.level(), 0.0);
-  EXPECT_TRUE(b.depleted());
-  EXPECT_DOUBLE_EQ(b.discharge(5.0), 0.0);
-}
-
-TEST(Battery, NegativeAmountsThrow) {
-  Battery b(100.0);
-  EXPECT_THROW(b.charge(-1.0), PreconditionError);
-  EXPECT_THROW(b.discharge(-1.0), PreconditionError);
-}
-
-TEST(Battery, ChargeDischargeConservation) {
-  Battery b(1000.0, 500.0);
-  const Joules in = b.charge(200.0);
-  const Joules out = b.discharge(300.0);
-  EXPECT_DOUBLE_EQ(b.level(), 500.0 + in - out);
-}
-
-TEST(Battery, TimeToEmpty) {
-  Battery b(100.0, 50.0);
-  EXPECT_DOUBLE_EQ(b.time_to_empty(5.0), 10.0);
-  EXPECT_TRUE(std::isinf(b.time_to_empty(0.0)));
-  EXPECT_TRUE(std::isinf(b.time_to_empty(-1.0)));
-}
-
-TEST(Battery, TimeToThreshold) {
-  Battery b(100.0, 80.0);
-  EXPECT_DOUBLE_EQ(b.time_to_threshold(30.0, 10.0), 5.0);
-  EXPECT_DOUBLE_EQ(b.time_to_threshold(80.0, 10.0), 0.0);
-  EXPECT_DOUBLE_EQ(b.time_to_threshold(90.0, 10.0), 0.0);  // already below
-  EXPECT_TRUE(std::isinf(b.time_to_threshold(30.0, 0.0)));
-}
 
 TEST(RadioParams, Validation) {
   RadioParams p;
@@ -123,22 +67,50 @@ TEST(RadioModel, EnergyMonotoneInDistance) {
   }
 }
 
-// Property sweep: battery never leaves [0, capacity] under random op mixes.
+// Property sweep: under random mixes of charge input and elapsed time a
+// node's battery follows the world's clamp rule — a discharge stops at
+// empty, a charge stops at capacity — so it never leaves [0, capacity] and
+// drains down from exactly full after an overcharge.
 class BatteryFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(BatteryFuzz, LevelAlwaysInRange) {
-  const unsigned seed = static_cast<unsigned>(GetParam());
-  std::srand(seed);
-  Battery b(500.0, 250.0);
+  constexpr Joules kCapacity = 500.0;
+  std::vector<net::SensorSpec> specs(3);
+  for (net::NodeId i = 0; i < 3; ++i) {
+    specs[i].id = i;
+    specs[i].position = {10.0 * double(i + 1), 0.0};
+    specs[i].data_rate_bps = 100.0;
+    specs[i].battery_capacity = kCapacity;
+  }
+  sim::WorldParams params;
+  params.initial_level_min = 0.5;
+  params.initial_level_max = 0.5;
+  params.drain.sensing_power = 1.0;
+  params.drain.radio.e_elec = 1e-12;  // radio negligible: rates stay put
+  params.drain.radio.e_amp = 1e-15;   // when a neighbour dies
+  sim::Simulator simulator;
+  sim::World world(simulator,
+                   net::Network(std::move(specs), {0.0, 0.0}, 15.0), params,
+                   Rng(1));
+  std::vector<Joules> expected(3, 0.5 * kCapacity);
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
   for (int i = 0; i < 200; ++i) {
-    const double amount = (std::rand() % 1000) / 3.0;
-    if (std::rand() % 2 == 0) {
-      b.charge(amount);
-    } else {
-      b.discharge(amount);
+    const auto node = net::NodeId(rng.uniform_int(0, 2));
+    world.set_charge_input(node, rng.bernoulli(0.5) ? rng.uniform(0.0, 5.0)
+                                                    : 0.0);
+    const Seconds dt = rng.uniform(0.0, 300.0);
+    for (net::NodeId id = 0; id < 3; ++id) {
+      if (!world.alive(id)) continue;
+      const Watts net = world.charge_rate(id) - world.drain_rate(id);
+      expected[id] = std::clamp(expected[id] + net * dt, 0.0, kCapacity);
     }
-    EXPECT_GE(b.level(), 0.0);
-    EXPECT_LE(b.level(), b.capacity());
+    simulator.run_until(simulator.now() + dt);
+    for (net::NodeId id = 0; id < 3; ++id) {
+      EXPECT_GE(world.level(id), 0.0);
+      EXPECT_LE(world.level(id), kCapacity);
+      if (!world.alive(id)) expected[id] = 0.0;
+      EXPECT_NEAR(world.level(id), expected[id], 1e-3) << "node " << id;
+    }
   }
 }
 

@@ -1075,6 +1075,36 @@ TEST(MissionServer, InfiniteSensingPowerIsInvalidPromptly) {
   server.stop();
 }
 
+TEST(MissionServer, TinyPolicyWindowIsInvalidPromptly) {
+  MissionService service(quick_options());
+  const std::string path = test_socket_path("tiny-window");
+  MissionServer server(service, path);
+  server.start();
+
+  // A tiny defender window or bandit epoch once stepped the adaptive
+  // detectors or the bandit through billions of windows on one worker.
+  MissionClient json_client(path, /*binary=*/false);
+  MissionClient binary_client(path, /*binary=*/true);
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& [key, value] :
+       {std::pair{"policy.defender_window", "1e-5"},
+        std::pair{"policy.epoch", "1e-9"}}) {
+    analysis::FuzzOverrides o = analysis::parse_repro(quick_repro(49));
+    o["policy.defender"] = "adaptive";
+    o["policy.attacker"] = "ucb";
+    o[key] = value;
+    const std::string repro = analysis::format_repro(o);
+    EXPECT_EQ(json_client.call(1, repro).status, MissionStatus::kInvalid)
+        << key;
+    EXPECT_EQ(binary_client.call(2, repro).status, MissionStatus::kInvalid)
+        << key;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(json_client.call(3, quick_repro(49)).status, MissionStatus::kOk);
+  EXPECT_EQ(binary_client.call(4, quick_repro(50)).status, MissionStatus::kOk);
+  server.stop();
+}
+
 TEST(MissionServer, StopIsIdempotentAndUnlinksSocket) {
   MissionService service(quick_options());
   const std::string path = test_socket_path("stop");

@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "core/planners.hpp"
 #include "core/report.hpp"
+#include "detect/detector.hpp"
 #include "net/keynodes.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -357,6 +358,34 @@ BENCHMARK(BM_KernelScheduleCancelChurn)
     ->Arg(10'000)
     ->Arg(100'000);
 
+// The world's side of the same pressure: `range` nodes with an armed death
+// timer, one re-arm per op.  A re-arm is one update-key in the node timer
+// queue where the kernel pays a cancel and a schedule.
+void BM_NodeTimerRearmChurn(benchmark::State& state) {
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  sim::Simulator sim;
+  sim::NodeTimerQueue timers([](std::uint32_t, sim::NodeTimer) {});
+  timers.reset(nodes);
+  sim.attach_timers(&timers);
+  for (std::uint32_t i = 0; i < nodes; ++i) {
+    sim.arm_timer(i, sim::NodeTimer::Death, 1e12 + double(i));
+  }
+  std::uint64_t lcg = 0x2545F4914F6CDD1Dull;
+  double t = 0.0;
+  for (auto _ : state) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const auto victim = static_cast<std::uint32_t>((lcg >> 33) % nodes);
+    t += 1.0;
+    sim.arm_timer(victim, sim::NodeTimer::Death, 1e12 + t);
+  }
+  sim.attach_timers(nullptr);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NodeTimerRearmChurn)
+    ->Arg(1'000)
+    ->Arg(10'000)
+    ->Arg(100'000);
+
 // End-to-end: one fig5 exhaustion trial (default 100-node deployment,
 // 4-day horizon, CSA attacker) under each update mode.  The world update is
 // only part of a trial (planning and detection share the bill), so the
@@ -454,7 +483,10 @@ class CountingPlanner final : public csa::Planner {
 // CSA attacker (a fleet of 4 puts it in one Voronoi cell next to three
 // honest chargers); benign rows run the honest NJNP charger and never plan.
 // Counters: kernel events, attacker replans, and mean TIDE stops per
-// replan (each replan's travel matrix spans that many stops).
+// replan (each replan's travel matrix spans that many stops); the mission
+// health record (partition hour, sink-connected fraction at the end,
+// escalations per node-hour, whether the deployed suite fired); and
+// heap_peak, the most kernel-heap entries plus queued timer nodes at once.
 void BM_Mission(benchmark::State& state) {
   const bool attack = state.range(0) != 0;
   const auto n = static_cast<std::size_t>(state.range(1));
@@ -468,6 +500,14 @@ void BM_Mission(benchmark::State& state) {
   std::uint64_t replans = 0;
   std::uint64_t stops = 0;
   std::size_t alive = 0;
+  Seconds partition = cfg.horizon;
+  std::size_t sink_connected = 0;
+  std::size_t escalations = 0;
+  bool flagged = false;
+  // The registry only feeds the heap_peak counter; both sides of a
+  // before/after recording pay for it alike.
+  obs::MetricRegistry registry;
+  const obs::ScopedRegistry scope(&registry);
   for (auto _ : state) {
     const CountingPlanner planner;
     const analysis::ScenarioResult result =
@@ -477,12 +517,27 @@ void BM_Mission(benchmark::State& state) {
     replans = planner.replans;
     stops = planner.stops;
     alive = result.alive_at_end;
+    partition = result.report.partition_time.value_or(cfg.horizon);
+    sink_connected = result.sink_connected_at_end;
+    escalations = result.trace.escalations.size();
+    flagged =
+        detect::DetectorSuite::earliest(result.detections).has_value();
   }
   state.counters["events"] = double(events);
   state.counters["replans"] = double(replans);
   state.counters["stops_per_replan"] =
       replans > 0 ? double(stops) / double(replans) : 0.0;
   state.counters["alive_at_end"] = double(alive);
+  // Mission health: whether this row simulates a live network or a
+  // collapsed one.  partition_h is the hour the network first partitioned
+  // (the horizon when it never did); flagged is 1 when the deployed suite
+  // fired, a false positive on a benign row.
+  const double node_hours = double(n) * cfg.horizon / 3'600.0;
+  state.counters["partition_h"] = partition / 3'600.0;
+  state.counters["sink_connected_frac"] = double(sink_connected) / double(n);
+  state.counters["escalations_per_node_h"] = double(escalations) / node_hours;
+  state.counters["flagged"] = flagged ? 1.0 : 0.0;
+  state.counters["heap_peak"] = registry.value(obs::Metric::kSimHeapPeak);
 }
 BENCHMARK(BM_Mission)
     ->ArgNames({"attack", "nodes", "fleet"})

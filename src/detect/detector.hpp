@@ -20,6 +20,8 @@
 
 namespace wrsn::detect {
 
+class MeterReadings;
+
 /// Everything a deployed detector may legitimately know about the system.
 struct DetectorContext {
   const net::Network* network = nullptr;
@@ -41,6 +43,9 @@ struct DetectorContext {
   /// deaths per death-rate monitoring window (what the static calibration
   /// was computed from; 0 = unknown).
   double expected_deaths_per_window = 0.0;
+  /// Gauge draws of the trace being analysed, shared by the metered
+  /// detectors of one DetectorSuite::run (null: each draws its own).
+  MeterReadings* meter_readings = nullptr;
 };
 
 /// A detector verdict: the first moment the defense fires.

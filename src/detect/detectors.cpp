@@ -52,12 +52,41 @@ double median_of(std::vector<double> values) {
 
 }  // namespace
 
-bool MeterPlacement::audited(std::uint64_t seed, net::NodeId node) const {
-  if (nodes_.has_value()) return nodes_->count(node) > 0;
-  // One draw per (seed, node): every detector meters the same nodes.
-  Rng rng(seed);
-  return rng.fork("coulomb-equip").fork(std::to_string(node)).uniform() <
-         fraction_;
+void MeterReadings::index_sessions() {
+  if (!slots_.empty() || trace_.sessions.empty()) return;
+  slots_.resize(trace_.sessions.size());
+  std::map<net::NodeId, std::pair<std::uint64_t, std::size_t>> seen;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const auto [it, fresh] =
+        seen.try_emplace(trace_.sessions[i].node, std::uint64_t{0}, i);
+    slots_[i].ordinal = it->second.first++;
+    slots_[i].first = it->second.second;
+  }
+}
+
+bool MeterReadings::audited(const MeterPlacement& placement,
+                            std::size_t index) {
+  const net::NodeId node = trace_.sessions[index].node;
+  if (placement.nodes().has_value()) return placement.nodes()->count(node) > 0;
+  index_sessions();
+  std::optional<double>& equip = slots_[slots_[index].first].equip;
+  if (!equip.has_value()) {
+    // One draw per (seed, node): every detector meters the same nodes.
+    Rng rng(ctx_.noise_seed);
+    equip = rng.fork("coulomb-equip").fork(std::to_string(node)).uniform();
+  }
+  return *equip < placement.fraction();
+}
+
+Joules MeterReadings::noise(std::size_t index) {
+  index_sessions();
+  Slot& slot = slots_[index];
+  if (!slot.noise.has_value()) {
+    const net::NodeId node = trace_.sessions[index].node;
+    slot.noise = session_noise(ctx_, node, slot.ordinal,
+                               ctx_.network->node(node).battery_capacity);
+  }
+  return *slot.noise;
 }
 
 std::optional<Detection> for_each_metered_session(
@@ -65,15 +94,17 @@ std::optional<Detection> for_each_metered_session(
     const MeterPlacement& placement, Joules min_expected,
     const MeteredVisit& visit) {
   WRSN_REQUIRE(ctx.network != nullptr, "context missing network");
-  std::map<net::NodeId, std::uint64_t> ordinals;
-  for (const sim::SessionRecord& s : trace.sessions) {
-    const std::uint64_t ordinal = ordinals[s.node]++;
+  std::optional<MeterReadings> own;
+  MeterReadings* readings = ctx.meter_readings;
+  if (readings == nullptr) readings = &own.emplace(trace, ctx);
+  WRSN_REQUIRE(&readings->trace() == &trace,
+               "shared meter readings belong to another trace");
+  for (std::size_t i = 0; i < trace.sessions.size(); ++i) {
+    const sim::SessionRecord& s = trace.sessions[i];
     if (s.expected_gain < min_expected || s.expected_gain <= 0.0) continue;
-    if (!placement.audited(ctx.noise_seed, s.node)) continue;
+    if (!readings->audited(placement, i)) continue;
     WRSN_OBS_COUNT(kDetectSessionsAudited);
-    const Joules capacity = ctx.network->node(s.node).battery_capacity;
-    const Joules measured = std::max(
-        0.0, s.delivered + session_noise(ctx, s.node, ordinal, capacity));
+    const Joules measured = std::max(0.0, s.delivered + readings->noise(i));
     if (auto detection = visit(s, measured / s.expected_gain)) {
       return detection;
     }
@@ -91,12 +122,16 @@ std::vector<SuiteResult> DetectorSuite::run(const sim::Trace& trace,
   std::vector<SuiteResult> results;
   results.reserve(detectors_.size());
   WRSN_OBS_COUNT(kDetectSuiteRuns);
+  // Every metered detector of this run reads one table of gauge draws.
+  MeterReadings readings(trace, ctx);
+  DetectorContext shared = ctx;
+  shared.meter_readings = &readings;
   for (const auto& detector : detectors_) {
     std::optional<Detection> detection;
     {
       WRSN_OBS_SPAN_NAMED("detect." + std::string(detector->name()) +
                           ".analyze_ns");
-      detection = detector->analyze(trace, ctx);
+      detection = detector->analyze(trace, shared);
     }
     if (detection.has_value()) WRSN_OBS_COUNT(kDetectDetections);
     results.push_back({std::string(detector->name()), std::move(detection)});

@@ -16,67 +16,6 @@ bool alive_or_all(const Bitmap& alive, NodeId id) {
 
 }  // namespace
 
-void FrontierHeap::reset(std::size_t n) {
-  for (const Entry& entry : heap_) slot_[entry.id] = kNotQueued;
-  heap_.clear();
-  heap_.reserve(n);
-  if (slot_.size() != n) slot_.assign(n, kNotQueued);
-}
-
-void FrontierHeap::push_or_decrease(NodeId id, double cost) {
-  std::uint32_t i = slot_[id];
-  if (i == kNotQueued) {
-    i = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back({cost, id});
-  } else {
-    WRSN_ASSERT(cost <= heap_[i].cost);
-    heap_[i].cost = cost;
-  }
-  sift_up(i);
-}
-
-FrontierHeap::Entry FrontierHeap::pop() {
-  WRSN_ASSERT(!heap_.empty());
-  const Entry top = heap_.front();
-  slot_[top.id] = kNotQueued;
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    place(0, last);
-    sift_down(0);
-  }
-  return top;
-}
-
-void FrontierHeap::sift_up(std::size_t i) {
-  const Entry item = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!before(item, heap_[parent])) break;
-    place(i, heap_[parent]);
-    i = parent;
-  }
-  place(i, item);
-}
-
-void FrontierHeap::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const Entry item = heap_[i];
-  while (true) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], item)) break;
-    place(i, heap_[best]);
-    i = best;
-  }
-  place(i, item);
-}
-
 void RoutingScratch::reserve(std::size_t n) {
   frontier.reset(n);
   affected.reserve(n);

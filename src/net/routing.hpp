@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/indexed_heap.hpp"
 #include "common/units.hpp"
 #include "energy/radio.hpp"
 #include "net/network.hpp"
@@ -54,44 +55,9 @@ struct RoutingTree {
   std::vector<double> path_cost;
 };
 
-/// Dijkstra frontier: an indexed 4-ary min-heap of node ids keyed by
-/// (cost, id), the same total order a full rebuild settles in.  Each queued
-/// node's heap slot is tracked, so a relaxation lowers the node's key in
-/// place (decrease-key) instead of queueing a duplicate: the heap holds at
-/// most one entry per node and pops no stale ones.
-class FrontierHeap {
- public:
-  struct Entry {
-    double cost;
-    NodeId id;
-  };
-
-  /// Empties the heap and sizes the slot index for ids below `n`.
-  void reset(std::size_t n);
-  bool empty() const { return heap_.empty(); }
-  /// Queues `id` at `cost`, or lowers its key to `cost` when it is already
-  /// queued (`cost` must not exceed the queued cost).
-  void push_or_decrease(NodeId id, double cost);
-  /// Removes and returns the entry with the smallest (cost, id).
-  Entry pop();
-
- private:
-  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
-
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    return a.id < b.id;
-  }
-  void place(std::size_t i, const Entry& entry) {
-    heap_[i] = entry;
-    slot_[entry.id] = static_cast<std::uint32_t>(i);
-  }
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-
-  std::vector<Entry> heap_;
-  std::vector<std::uint32_t> slot_;  ///< heap index per id, or kNotQueued
-};
+/// Dijkstra frontier keyed by (cost, id), the same total order a full
+/// rebuild settles in; a relaxation lowers a queued node's key in place.
+using FrontierHeap = IndexedHeap<double>;
 
 /// Reusable working memory for routing rebuilds and repairs.  Keeping one of
 /// these per World means zero allocations per rebuild after warmup.

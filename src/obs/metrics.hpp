@@ -48,7 +48,7 @@ enum class Metric : std::uint16_t {
   kSimEventsFired,
   kSimEventsCancelled,
   kSimHeapCompactions,
-  kSimHeapPeak,  ///< gauge-max: deepest heap observed
+  kSimHeapPeak,  ///< gauge-max: most kernel-heap entries + queued timer nodes
   // Incremental world updates / routing (src/sim/world.cpp).
   kNetRoutingRepairs,   ///< Fast-mode deaths (every one is a subtree repair)
   kNetRoutingRebuilds,  ///< full rebuilds (Reference mode only)

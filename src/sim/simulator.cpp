@@ -1,11 +1,17 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
 
 namespace wrsn::sim {
+namespace {
+
+constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+
+}  // namespace
 
 Simulator::~Simulator() {
   // One-shot flush of the kernel tallies.  `next_seq_` increments on every
@@ -39,7 +45,7 @@ EventId Simulator::schedule_at(Seconds at, EventCallback fn) {
 
   heap_push(HeapEntry{at, next_seq_++, idx, slot.gen});
   ++live_;
-  heap_peak_ = std::max(heap_peak_, heap_.size());
+  note_peak();
   return make_id(idx, slot.gen);
 }
 
@@ -65,50 +71,89 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-bool Simulator::pop_and_run() {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
+void Simulator::attach_timers(NodeTimerQueue* timers) {
+  WRSN_REQUIRE(timers == nullptr || timers_ == nullptr,
+               "a timer queue is already attached");
+  timers_ = timers;
+}
+
+void Simulator::arm_timer(std::uint32_t node, NodeTimer kind, Seconds at) {
+  WRSN_REQUIRE(at >= now_, "cannot schedule into the past");
+  WRSN_ASSERT(timers_ != nullptr);
+  if (timers_->arm(node, kind, EventKey{at, next_seq_++})) ++cancelled_;
+  note_peak();
+}
+
+bool Simulator::disarm_timer(std::uint32_t node, NodeTimer kind) {
+  WRSN_ASSERT(timers_ != nullptr);
+  if (!timers_->disarm(node, kind)) return false;
+  ++cancelled_;
+  return true;
+}
+
+void Simulator::disarm_timers(std::uint32_t node) {
+  WRSN_ASSERT(timers_ != nullptr);
+  cancelled_ += timers_->disarm_all(node);
+}
+
+void Simulator::load_timers(NodeTimer kind, const std::vector<Seconds>& at) {
+  WRSN_ASSERT(timers_ != nullptr);
+  for (const Seconds t : at) {
+    WRSN_REQUIRE(t >= now_, "cannot schedule into the past");
+  }
+  timers_->load(kind, at, next_seq_);
+  next_seq_ += at.size();
+  note_peak();
+}
+
+bool Simulator::run_next(Seconds until) {
+  while (!heap_.empty() && entry_stale(heap_.front())) {
     heap_pop_front();
-    if (entry_stale(top)) {
-      --stale_;
-      continue;
-    }
-    WRSN_ASSERT(top.time >= now_);
-    // Move the callback out and free the slot *before* invoking, so the
-    // callback can schedule new events (possibly into this very slot) and
-    // a cancel of the fired id reports false instead of hitting a reuse.
-    EventCallback fn = std::move(slots_[top.slot].fn);
-    release_slot(top.slot);
-    --live_;
-    now_ = top.time;
+    --stale_;
+  }
+  const bool have_timer = timers_ != nullptr && !timers_->empty();
+  if (have_timer &&
+      (heap_.empty() ||
+       timers_->head() < EventKey{heap_.front().time, heap_.front().seq})) {
+    if (timers_->head().time > until) return false;
+    // Popping disarms the timer before it fires, so the handler may re-arm
+    // it, exactly as an event callback may reschedule into its own slot.
+    const NodeTimerQueue::Due due = timers_->pop();
+    WRSN_ASSERT(due.key.time >= now_);
+    now_ = due.key.time;
     ++executed_;
-    fn();
+    timers_->fire(due);
     return true;
   }
-  return false;
+  if (heap_.empty() || heap_.front().time > until) return false;
+  const HeapEntry top = heap_.front();
+  heap_pop_front();
+  WRSN_ASSERT(top.time >= now_);
+  // Move the callback out and free the slot *before* invoking, so the
+  // callback can schedule new events (possibly into this very slot) and
+  // a cancel of the fired id reports false instead of hitting a reuse.
+  EventCallback fn = std::move(slots_[top.slot].fn);
+  release_slot(top.slot);
+  --live_;
+  now_ = top.time;
+  ++executed_;
+  fn();
+  return true;
 }
 
 void Simulator::run_until(Seconds until) {
   WRSN_REQUIRE(until >= now_, "cannot run backwards");
-  while (!heap_.empty()) {
-    // Peek past tombstones to find the next live event time.
-    if (entry_stale(heap_.front())) {
-      heap_pop_front();
-      --stale_;
-      continue;
-    }
-    if (heap_.front().time > until) break;
-    pop_and_run();
+  while (run_next(until)) {
   }
   now_ = until;
 }
 
 void Simulator::run_all() {
-  while (pop_and_run()) {
+  while (run_next(kNever)) {
   }
 }
 
-bool Simulator::step() { return pop_and_run(); }
+bool Simulator::step() { return run_next(kNever); }
 
 void Simulator::reserve(std::size_t capacity) {
   slots_.reserve(capacity);

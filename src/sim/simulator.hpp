@@ -2,10 +2,16 @@
 //
 // A minimal, deterministic event loop: events are (time, sequence) ordered,
 // so same-time events fire in scheduling order and runs are exactly
-// reproducible.
+// reproducible.  Two sources feed the loop:
+//   * ordinary events (vehicles, faults, mobility epochs), scheduled with a
+//     callback and held in the kernel's own heap;
+//   * per-node timers (death, request-arm, emergency, escalation, hardware
+//     failure), held in a NodeTimerQueue the world attaches.  The kernel
+//     stamps every timer arm with the same sequence counter as
+//     schedule_at and peeks at the queue's head beside its heap top, so
+//     the merged order is the one a single heap of all events would give.
 //
-// Storage layout (the death-cascade hot path schedules and cancels a handful
-// of events per affected node, so this is allocation- and hash-free):
+// Storage layout of the kernel's own events (allocation- and hash-free):
 //   * Event records live in a slab of reusable slots; an EventId encodes
 //     (slot index, generation).  Cancellation bumps the slot generation —
 //     O(1), no hashing — and any heap entry carrying the old generation is a
@@ -19,6 +25,7 @@
 //     to the heap transparently).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -28,6 +35,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "sim/node_timers.hpp"
 
 namespace wrsn::sim {
 
@@ -168,20 +176,41 @@ class Simulator {
   /// (safe to call either way).
   bool cancel(EventId id);
 
+  /// Merges `timers` into the loop as a second event source; nullptr
+  /// detaches it.  At most one queue is attached at a time.
+  void attach_timers(NodeTimerQueue* timers);
+
+  /// Arms timer `kind` of `node` at absolute time `at` (>= now), replacing
+  /// the armed one.  The arm draws the next seq exactly as schedule_at
+  /// does, and a replaced timer counts as cancelled.
+  void arm_timer(std::uint32_t node, NodeTimer kind, Seconds at);
+  /// Disarms one timer; returns false (no state change) if it was not armed.
+  bool disarm_timer(std::uint32_t node, NodeTimer kind);
+  /// Disarms every timer of `node`.
+  void disarm_timers(std::uint32_t node);
+  /// Arms `kind` of node i at `at[i]` for every i, in node order — the
+  /// seqs N schedule_at calls would draw — with one heapify.  Requires an
+  /// empty timer queue.
+  void load_timers(NodeTimer kind, const std::vector<Seconds>& at);
+
   /// Runs events with time <= `until`, then advances the clock to `until`.
   void run_until(Seconds until);
 
-  /// Runs until the queue is empty.
+  /// Runs until both the heap and the timer queue are empty.
   void run_all();
 
-  /// Fires the single earliest event; returns false if the queue is empty.
+  /// Fires the single earliest event or timer; returns false if none is
+  /// pending.
   bool step();
 
-  /// Number of events executed so far.
+  /// Number of events and timers fired so far.
   std::uint64_t executed() const { return executed_; }
 
-  /// Number of live (scheduled, not yet fired or cancelled) events.
-  std::size_t pending() const { return live_; }
+  /// Number of live (scheduled, not yet fired or cancelled) events and
+  /// armed timers.
+  std::size_t pending() const {
+    return live_ + (timers_ != nullptr ? timers_->armed_count() : 0);
+  }
 
   /// Pre-sizes the slab, heap, and free list so a workload with at most
   /// `capacity` concurrently pending events never allocates after this call.
@@ -235,6 +264,12 @@ class Simulator {
     free_.push_back(idx);
   }
 
+  /// Tracks the peak of heap entries plus queued timer nodes.
+  void note_peak() {
+    const std::size_t queued = timers_ != nullptr ? timers_->size() : 0;
+    heap_peak_ = std::max(heap_peak_, heap_.size() + queued);
+  }
+
   void heap_push(const HeapEntry& entry);
   void heap_pop_front();
   void sift_up(std::size_t i);
@@ -242,7 +277,8 @@ class Simulator {
   /// Drops all tombstones and re-heapifies in place.
   void compact();
 
-  bool pop_and_run();
+  /// Fires the earliest event or timer if its time is <= `until`.
+  bool run_next(Seconds until);
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -255,6 +291,7 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;
+  NodeTimerQueue* timers_ = nullptr;
 };
 
 }  // namespace wrsn::sim

@@ -20,6 +20,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // floating-point drift between the scheduled time and the extrapolated level.
 constexpr Joules kLevelEpsilon = 1e-6;
 
+// Kernel events a world keeps pending besides its node timers: a few per
+// vehicle, the fault plan's outages and events, and one mobility epoch.
+constexpr std::size_t kKernelEventReserve = 64;
+
 }  // namespace
 
 void WorldParams::validate() const {
@@ -88,7 +92,9 @@ World::World(Simulator& sim, net::Network network, const WorldParams& params,
       network_(std::move(network)),
       params_(params),
       charging_model_(params.charging),
-      rng_(std::move(rng)) {
+      rng_(std::move(rng)),
+      timers_([this](net::NodeId id, NodeTimer kind) { fire_timer(id, kind); }),
+      timer_attachment_(sim, timers_) {
   params_.validate();
 
   const std::size_t n = network_.size();
@@ -114,21 +120,24 @@ World::World(Simulator& sim, net::Network network, const WorldParams& params,
   alive_mask_.assign(n, true);
   pending_ids_.reserve(n);
 
-  // Pre-size the kernel slab/heap, the routing scratch, and the persistent
-  // buffers so the steady-state death path never allocates.
+  // Size the node timer queue, the routing scratch, and the persistent
+  // buffers so the steady-state death path never allocates.  The kernel's
+  // own heap holds only what is not a node's: vehicle, fault and mobility
+  // events.
+  timers_.reset(n);
   scratch_.reserve(n);
-  sim_.reserve(5 * n + 64);
+  sim_.reserve(kKernelEventReserve);
   drains_.reserve(n);
 
-  // Background hardware failures: each node draws an exponential lifetime.
+  // Background hardware failures: each node draws an exponential lifetime,
+  // bulk-loaded in node order with one heapify.
   if (params_.hardware_mtbf > 0.0) {
     Rng failure_rng = rng_.fork("hardware-failures");
-    for (net::NodeId id = 0; id < n; ++id) {
-      const Seconds at =
-          sim_.now() + failure_rng.exponential(1.0 / params_.hardware_mtbf);
-      cold_[id].hardware_event =
-          sim_.schedule_at(at, [this, id] { fire_hardware_failure(id); });
+    std::vector<Seconds> failure_at(n);
+    for (Seconds& at : failure_at) {
+      at = sim_.now() + failure_rng.exponential(1.0 / params_.hardware_mtbf);
     }
+    sim_.load_timers(NodeTimer::Hardware, failure_at);
   }
 
   // k-coverage utility: count each node's alive coverers up front; deaths
@@ -145,9 +154,8 @@ World::World(Simulator& sim, net::Network network, const WorldParams& params,
   if (params_.mobility.fraction > 0.0) {
     mobility_ = MobilityModel(params_.mobility, network_, rng_.fork("mobility"));
     if (mobility_.enabled()) {
-      mobility_event_ =
-          sim_.schedule_at(sim_.now() + params_.mobility.interval,
-                           [this] { fire_mobility_epoch(); });
+      sim_.schedule_at(sim_.now() + params_.mobility.interval,
+                       [this] { fire_mobility_epoch(); });
     }
   }
 
@@ -285,10 +293,7 @@ void World::note_service_started(net::NodeId id) {
     c.pending = false;
     c.pending_emergency = false;
     pending_erase(id);
-    if (c.escalation_event != kInvalidEvent) {
-      sim_.cancel(c.escalation_event);
-      c.escalation_event = kInvalidEvent;
-    }
+    sim_.disarm_timer(id, NodeTimer::Escalation);
   }
 }
 
@@ -346,76 +351,78 @@ void World::resync(net::NodeId id) {
 }
 
 void World::reschedule(net::NodeId id) {
-  NodeCold& c = cold_[id];
+  const NodeCold& c = cold_[id];
   if (!alive_mask_.test(id)) return;
   WRSN_ASSERT(sync_time_[id] == sim_.now());
 
-  // Death event.  Superseded events are cancelled at the kernel — O(1), and
-  // the heap never accumulates version-dead tombstones.
-  if (c.death_event != kInvalidEvent) {
-    sim_.cancel(c.death_event);
-    c.death_event = kInvalidEvent;
-  }
+  // Each crossing re-keys its timer in place; the arms draw their seqs in
+  // the order death, request, emergency.
   const Watts net = net_drain(id);
   if (net > 0.0) {
-    const Seconds at = sim_.now() + level_[id] / net;
-    c.death_event = sim_.schedule_at(at, [this, id] { fire_death(id); });
+    sim_.arm_timer(id, NodeTimer::Death, sim_.now() + level_[id] / net);
+  } else {
+    sim_.disarm_timer(id, NodeTimer::Death);
   }
 
-  // Request-arming event (believed-level crossing).
-  if (c.request_event != kInvalidEvent) {
-    sim_.cancel(c.request_event);
-    c.request_event = kInvalidEvent;
-  }
+  // Request-arming crossing (believed level).
   const Seconds req_at = predicted_request(id);
   if (req_at < kInf) {
-    c.request_event =
-        sim_.schedule_at(req_at, [this, id] { fire_request(id); });
+    sim_.arm_timer(id, NodeTimer::Request, req_at);
+  } else {
+    sim_.disarm_timer(id, NodeTimer::Request);
   }
 
   // Hardware low-voltage comparator (true-level crossing).
   if (params_.emergency_enabled) {
-    if (c.emergency_event != kInvalidEvent) {
-      sim_.cancel(c.emergency_event);
-      c.emergency_event = kInvalidEvent;
-    }
     const Joules em_level = params_.emergency_fraction * capacity_[id];
     if (net > 0.0 && level_[id] > em_level) {
-      const Seconds at = sim_.now() + (level_[id] - em_level) / net;
-      c.emergency_event =
-          sim_.schedule_at(at, [this, id] { fire_emergency(id); });
+      sim_.arm_timer(id, NodeTimer::Emergency,
+                     sim_.now() + (level_[id] - em_level) / net);
     } else if (level_[id] <= em_level && !c.pending && !c.in_service) {
       // The comparator output is level-triggered: it (re)asserts as soon as
       // the node may speak again, even straight out of a service cooldown.
-      c.emergency_event =
-          sim_.schedule_at(std::max(sim_.now(), c.cooldown_until),
-                           [this, id] { fire_emergency(id); });
+      sim_.arm_timer(id, NodeTimer::Emergency,
+                     std::max(sim_.now(), c.cooldown_until));
+    } else {
+      sim_.disarm_timer(id, NodeTimer::Emergency);
     }
   }
 }
 
 void World::retire_node(net::NodeId id) {
-  NodeCold& c = cold_[id];
   charge_[id] = 0.0;
   alive_mask_.reset(id);
   --alive_count_;
   // Nodes the dead one covered lose a coverer.  Exact integer update in
   // death order, so Fast and Reference (identical death sequences) agree.
   if (params_.coverage.k > 0) coverage_.on_death(network_, id);
-  if (c.pending) pending_erase(id);
-  // Cancel every event the node still owns; a dead node never fires again.
-  for (EventId* ev : {&c.death_event, &c.request_event, &c.emergency_event,
-                      &c.escalation_event, &c.hardware_event}) {
-    if (*ev != kInvalidEvent) {
-      sim_.cancel(*ev);
-      *ev = kInvalidEvent;
-    }
+  if (cold_[id].pending) pending_erase(id);
+  // A dead node never fires again.
+  sim_.disarm_timers(id);
+}
+
+void World::fire_timer(net::NodeId id, NodeTimer kind) {
+  switch (kind) {
+    case NodeTimer::Death:
+      fire_death(id);
+      return;
+    case NodeTimer::Request:
+      fire_request(id);
+      return;
+    case NodeTimer::Emergency:
+      fire_emergency(id);
+      return;
+    case NodeTimer::Escalation:
+      fire_escalation(id);
+      return;
+    case NodeTimer::Hardware:
+      fire_hardware_failure(id);
+      return;
   }
 }
 
 void World::fire_death(net::NodeId id) {
-  NodeCold& c = cold_[id];
-  c.death_event = kInvalidEvent;  // this event just fired
+  const NodeCold& c = cold_[id];
   if (!alive_mask_.test(id)) return;
   resync(id);
   if (level_[id] > kLevelEpsilon) {
@@ -435,7 +442,6 @@ void World::fire_death(net::NodeId id) {
 }
 
 void World::fire_hardware_failure(net::NodeId id) {
-  cold_[id].hardware_event = kInvalidEvent;  // this event just fired
   if (!alive_mask_.test(id)) return;
   kill_node_hardware(id);
 }
@@ -459,7 +465,6 @@ bool World::inject_hardware_failure(net::NodeId id) {
 }
 
 void World::fire_mobility_epoch() {
-  mobility_event_ = kInvalidEvent;  // this event just fired
   // A dead network has nothing left to route or drain; stop the epoch chain
   // so run_all() terminates on worlds with mobility enabled.
   if (alive_count_ == 0) return;
@@ -475,8 +480,8 @@ void World::fire_mobility_epoch() {
   // preserves the Fast == Reference equivalence exactly like a death does.
   recompute_routing();
   ++update_stats_.mobility_epochs;
-  mobility_event_ = sim_.schedule_at(sim_.now() + params_.mobility.interval,
-                                     [this] { fire_mobility_epoch(); });
+  sim_.schedule_at(sim_.now() + params_.mobility.interval,
+                   [this] { fire_mobility_epoch(); });
 }
 
 double World::coverage_weight(net::NodeId id) const {
@@ -507,8 +512,7 @@ void World::set_escalation_interceptor(
 }
 
 void World::fire_request(net::NodeId id) {
-  NodeCold& c = cold_[id];
-  c.request_event = kInvalidEvent;  // this event just fired
+  const NodeCold& c = cold_[id];
   if (!alive_mask_.test(id) || c.pending || c.in_service) return;
   if (sim_.now() < c.cooldown_until) return;
   resync(id);
@@ -522,13 +526,11 @@ void World::fire_request(net::NodeId id) {
 
 void World::fire_emergency(net::NodeId id) {
   NodeCold& c = cold_[id];
-  c.emergency_event = kInvalidEvent;  // this event just fired
   if (!alive_mask_.test(id) || c.in_service) return;
   if (sim_.now() < c.cooldown_until) {
     // Re-arm after the rate-limit gap: the comparator output is level-
     // triggered, so it re-asserts as soon as the node may speak again.
-    c.emergency_event = sim_.schedule_at(
-        c.cooldown_until, [this, id] { fire_emergency(id); });
+    sim_.arm_timer(id, NodeTimer::Emergency, c.cooldown_until);
     return;
   }
   resync(id);
@@ -547,11 +549,7 @@ void World::fire_emergency(net::NodeId id) {
       const Seconds tightened = sim_.now() + params_.emergency_patience;
       if (tightened < c.escalation_deadline) {
         c.escalation_deadline = tightened;
-        if (c.escalation_event != kInvalidEvent) {
-          sim_.cancel(c.escalation_event);
-        }
-        c.escalation_event = sim_.schedule_at(
-            c.escalation_deadline, [this, id] { fire_escalation(id); });
+        sim_.arm_timer(id, NodeTimer::Escalation, c.escalation_deadline);
       }
       ++requests_tally_;
       trace_.requests.push_back(
@@ -575,19 +573,13 @@ void World::issue_request(net::NodeId id, bool emergency) {
   c.escalation_deadline = sim_.now() + patience;
   ++requests_tally_;
   trace_.requests.push_back({sim_.now(), id, level_[id], emergency});
-
-  if (c.escalation_event != kInvalidEvent) {
-    sim_.cancel(c.escalation_event);
-  }
-  c.escalation_event = sim_.schedule_at(
-      c.escalation_deadline, [this, id] { fire_escalation(id); });
+  sim_.arm_timer(id, NodeTimer::Escalation, c.escalation_deadline);
 
   for (const auto& listener : request_listeners_) listener(id);
 }
 
 void World::fire_escalation(net::NodeId id) {
   NodeCold& c = cold_[id];
-  c.escalation_event = kInvalidEvent;  // this event just fired
   if (!alive_mask_.test(id) || !c.pending) return;
   if (escalation_interceptor_ && !c.escalation_deferred) {
     const EscalationDecision decision = escalation_interceptor_(id);
@@ -600,9 +592,8 @@ void World::fire_escalation(net::NodeId id) {
       // untouched: the tamper lives in the base-station reporting path, not
       // in the node's protocol state.  Never scheduled into the past.
       c.escalation_deferred = true;
-      c.escalation_event =
-          sim_.schedule_at(sim_.now() + std::max(0.0, decision.delay),
-                           [this, id] { fire_escalation(id); });
+      sim_.arm_timer(id, NodeTimer::Escalation,
+                     sim_.now() + std::max(0.0, decision.delay));
       return;
     }
   }

@@ -21,10 +21,15 @@
 //     alive node.  The world-equivalence test suite pins Fast to Reference
 //     (identical traces and end metrics) across randomized scenarios.
 //
-// Stale events are CANCELLED at the kernel (O(1) generation bump), not
-// invalidated by version counters, so superseded events never linger in the
-// event heap.  Invariant: every NodeCold event-id field either is
-// kInvalidEvent or names the single live kernel event of that type.
+// A node's five timers (death, request-arm, emergency, escalation, hardware
+// failure) live in the world's NodeTimerQueue, not in the kernel heap: each
+// is armed at most once, a re-arm re-keys it in place, and the queue holds
+// one entry per node with an armed timer (its earliest).  Every arm draws
+// its seq from the kernel's counter, so timers and kernel events fire in
+// one (time, seq) order, and the order in which the world arms timers is
+// part of every trace.  Invariant: a timer is armed iff the crossing it stands for is still due;
+// a superseded crossing is re-keyed or disarmed, never left to fire, and a
+// dead node has no armed timer.
 //
 // Charging-service protocol (the contract both the benign charger and the
 // attacker operate under), and the believed-level mechanism the attack
@@ -57,6 +62,7 @@
 #include "net/network.hpp"
 #include "net/routing.hpp"
 #include "sim/mobility.hpp"
+#include "sim/node_timers.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "wpt/charging_model.hpp"
@@ -242,7 +248,7 @@ class World {
   /// No-op (returns false) if the node is dead.
   bool set_charge_input(net::NodeId id, Watts dc);
   /// Marks the node's outstanding request as being answered (service began):
-  /// cancels the escalation timer.
+  /// disarms the escalation timer.
   void note_service_started(net::NodeId id);
   /// Marks service complete.  The node credits its believed level with
   /// `expected` (it trusts the service) while only `delivered` actually
@@ -283,10 +289,10 @@ class World {
   const Trace& trace() const { return trace_; }
 
  private:
-  /// Cold per-node bookkeeping: protocol flags, request deadlines, and the
-  /// kernel event handles.  Touched only on request/service/death
-  /// transitions; the hot death-cascade and drain-diff paths read the
-  /// contiguous SoA lanes below instead (see DESIGN.md §12).
+  /// Cold per-node bookkeeping: protocol flags and request deadlines.
+  /// Touched only on request/service/death transitions; the hot
+  /// death-cascade and drain-diff paths read the contiguous SoA lanes below
+  /// instead (see DESIGN.md §12).
   struct NodeCold {
     bool pending = false;
     bool pending_emergency = false;
@@ -297,13 +303,6 @@ class World {
     Seconds requested_at = 0.0;
     Seconds escalation_deadline = 0.0;
     Seconds cooldown_until = 0.0;  ///< min-request-gap guard
-    /// Live kernel events owned by this node (kInvalidEvent when none).
-    /// Superseded events are cancelled at the kernel, never left to fire.
-    EventId death_event = kInvalidEvent;
-    EventId request_event = kInvalidEvent;
-    EventId emergency_event = kInvalidEvent;
-    EventId escalation_event = kInvalidEvent;
-    EventId hardware_event = kInvalidEvent;
   };
 
   Watts net_drain(net::NodeId id) const {
@@ -322,9 +321,11 @@ class World {
 
   /// Folds elapsed time into the battery and resets the sync point.
   void resync(net::NodeId id);
-  /// (Re)schedules the death, request-arming, and emergency events,
-  /// cancelling the superseded ones.
+  /// Re-arms (or disarms) the death, request-arming and emergency timers
+  /// from the node's current level and rates.
   void reschedule(net::NodeId id);
+  /// The timer queue's handler: dispatches a due timer by kind.
+  void fire_timer(net::NodeId id, NodeTimer kind);
   void fire_death(net::NodeId id);
   void fire_hardware_failure(net::NodeId id);
   /// One mobility epoch: interpolate every mobile node to `now`, rebuild
@@ -339,7 +340,7 @@ class World {
   void fire_emergency(net::NodeId id);
   void fire_escalation(net::NodeId id);
   void issue_request(net::NodeId id, bool emergency);
-  /// Marks the node dead in every live-state index and cancels its events.
+  /// Marks the node dead in every live-state index and disarms its timers.
   void retire_node(net::NodeId id);
   /// Full routing/loads/drains rebuild (mode-dispatching); used at
   /// construction and by mobility epochs.
@@ -361,6 +362,20 @@ class World {
   WorldParams params_;
   wpt::ChargingModel charging_model_;
   Rng rng_;
+  /// Every node's timers.
+  NodeTimerQueue timers_;
+  /// Keeps timers_ attached to the kernel for exactly the world's lifetime,
+  /// also when construction throws part way.
+  struct TimerAttachment {
+    TimerAttachment(Simulator& sim, NodeTimerQueue& timers) : sim(sim) {
+      sim.attach_timers(&timers);
+    }
+    TimerAttachment(const TimerAttachment&) = delete;
+    TimerAttachment& operator=(const TimerAttachment&) = delete;
+    ~TimerAttachment() { sim.attach_timers(nullptr); }
+    Simulator& sim;
+  };
+  TimerAttachment timer_attachment_;
   // --- hot per-node SoA lanes (indexed by NodeId) ---------------------------
   // The death-cascade drain diff, lazy-energy extrapolation, and routing
   // repair scan these contiguous arrays; per-node protocol bookkeeping lives
@@ -393,7 +408,6 @@ class World {
   /// Alive nodes with an outstanding request, sorted ascending by id.
   std::vector<net::NodeId> pending_ids_;
   MobilityModel mobility_;
-  EventId mobility_event_ = kInvalidEvent;
   net::CoverageIndex coverage_;
   Meters coverage_radius_ = 0.0;
   WorldUpdateStats update_stats_;

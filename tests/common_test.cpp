@@ -2,11 +2,14 @@
 // and distribution sanity, and the logger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/indexed_heap.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -211,6 +214,70 @@ TEST(Log, LevelFilterSuppressesBelow) {
   EXPECT_EQ(log_level(), LogLevel::Error);
   log(LogLevel::Debug) << "should not crash or emit";
   set_log_level(saved);
+}
+
+TEST(IndexedHeap, MatchesAnOrderedSetUnderUpdateEraseAndPop) {
+  // Random updates in both directions, erases and pops, checked op by op
+  // against a std::set ordered by (key, id).  Keys come from a small
+  // integer grid, so exact-key ties, which the id must break, are common.
+  constexpr std::uint32_t kIds = 200;
+  Rng rng(11);
+  IndexedHeap<double> heap;
+  for (int round = 0; round < 3; ++round) {
+    // Later rounds reset a heap the previous round left non-empty, and
+    // start from a bulk load.
+    heap.reset(kIds);
+    std::set<std::pair<double, std::uint32_t>> model;
+    std::vector<double> queued(kIds, -1.0);  // -1: not queued
+    for (std::uint32_t id = 0; id < kIds; id += 3) {
+      const double key = double(rng.uniform_int(0, 40));
+      heap.append_unordered(id, key);
+      queued[id] = key;
+      model.insert({key, id});
+    }
+    heap.heapify();
+    for (int op = 0; op < 6'000; ++op) {
+      const auto id = static_cast<std::uint32_t>(rng.uniform_int(0, kIds - 1));
+      const double roll = rng.uniform();
+      if (roll < 0.25 && !model.empty()) {
+        const IndexedHeap<double>::Entry top = heap.pop();
+        ASSERT_EQ(std::make_pair(top.key, top.id), *model.begin());
+        queued[top.id] = -1.0;
+        model.erase(model.begin());
+      } else if (roll < 0.4) {
+        heap.erase(id);  // a no-op when `id` is not queued
+        if (queued[id] >= 0.0) model.erase({queued[id], id});
+        queued[id] = -1.0;
+      } else if (roll < 0.5 && queued[id] > 0.0) {
+        const double key = double(rng.uniform_int(0, int(queued[id]) - 1));
+        heap.push_or_decrease(id, key);
+        model.erase({queued[id], id});
+        queued[id] = key;
+        model.insert({key, id});
+      } else {
+        const double key = double(rng.uniform_int(0, 40));
+        heap.update(id, key);
+        if (queued[id] >= 0.0) model.erase({queued[id], id});
+        queued[id] = key;
+        model.insert({key, id});
+      }
+      ASSERT_EQ(heap.size(), model.size());
+      ASSERT_EQ(heap.contains(id), queued[id] >= 0.0);
+      if (!model.empty()) {
+        ASSERT_EQ(std::make_pair(heap.top().key, heap.top().id),
+                  *model.begin());
+      }
+    }
+    if (round == 2) {
+      std::vector<std::pair<double, std::uint32_t>> popped;
+      while (!heap.empty()) {
+        const IndexedHeap<double>::Entry top = heap.pop();
+        popped.emplace_back(top.key, top.id);
+      }
+      EXPECT_TRUE(std::equal(popped.begin(), popped.end(), model.begin(),
+                             model.end()));
+    }
+  }
 }
 
 }  // namespace

@@ -852,7 +852,7 @@ TEST(Routing, FrontierPopsInCostIdOrderUnderDecreaseKey) {
       const double roll = rng.uniform();
       if (roll < 0.3 && !model.empty()) {
         const FrontierHeap::Entry top = frontier.pop();
-        ASSERT_EQ(std::make_pair(top.cost, top.id), *model.begin());
+        ASSERT_EQ(std::make_pair(top.key, top.id), *model.begin());
         queued[top.id] = -1.0;
         model.erase(model.begin());
       } else if (queued[id] < 0.0) {
@@ -872,7 +872,7 @@ TEST(Routing, FrontierPopsInCostIdOrderUnderDecreaseKey) {
       std::vector<std::pair<double, NodeId>> popped;
       while (!frontier.empty()) {
         const FrontierHeap::Entry top = frontier.pop();
-        popped.emplace_back(top.cost, top.id);
+        popped.emplace_back(top.key, top.id);
       }
       EXPECT_TRUE(std::equal(popped.begin(), popped.end(), model.begin(),
                              model.end()));

@@ -4,9 +4,10 @@
 // (which is why it is a separate test target) and asserts that, once the
 // world is warmed up — kernel slab/heap reserved, routing scratch sized,
 // trace vectors reserved — an entire death cascade runs without a single
-// heap allocation: event scheduling/cancelling (inline callbacks in slab
-// slots), routing repair and fallback rebuild (persistent buffers +
-// scratch), load/drain refresh, and the drain-diff rescheduling sweep.
+// heap allocation: node timer arms and disarms (update-keys in the
+// pre-sized timer queue), routing repair (persistent buffers + scratch),
+// load/drain refresh, and the drain-diff rescheduling sweep.  So do a
+// reschedule storm, escalations and interceptor-deferred reports.
 //
 // The same guarantee is pinned for the planners (CsaPlanner::plan_into and
 // the fleet replan run on arenas reused across calls) and for the batched
@@ -95,6 +96,68 @@ TEST(WorldAllocation, DeathCascadeHotPathDoesNotAllocate) {
   g_counting = false;
 
   EXPECT_EQ(world.alive_count(), 0u);
+  EXPECT_EQ(g_allocations, 0u);
+}
+
+TEST(WorldAllocation, TimerChurnDoesNotAllocate) {
+  // The node timer queue's churn after warmup: a reschedule storm (every
+  // alive node's charge input toggled, each toggle re-keying its death,
+  // request and emergency timers), escalations reaching the base station,
+  // and the tampering interceptor deferring each report once.
+  Simulator sim;
+  net::TopologyConfig topo;
+  topo.node_count = 100;
+  topo.region = {{0.0, 0.0}, {400.0, 400.0}};
+  topo.comm_range = 65.0;
+  Rng topo_rng(42);
+  net::Network network = net::generate_topology(topo, topo_rng);
+
+  WorldParams params;
+  params.emergency_enabled = true;
+  params.patience = 600.0;
+  params.hardware_mtbf = 30.0 * 86'400.0;
+  // Start just above the request threshold so requests keep arriving.
+  params.initial_level_min = 0.31;
+  params.initial_level_max = 0.40;
+  World world(sim, std::move(network), params, Rng(7));
+  // Every report is deferred once (the interceptor is consulted once per
+  // request), then delivered.
+  std::size_t delays = 0;
+  world.set_escalation_interceptor([&](net::NodeId) {
+    ++delays;
+    return EscalationDecision{EscalationAction::Delay, 300.0};
+  });
+  world.trace().requests.reserve(4096);
+  world.trace().deaths.reserve(1024);
+  world.trace().escalations.reserve(4096);
+
+  const auto storm = [&] {
+    for (net::NodeId id = 0; id < world.network().size(); ++id) {
+      world.set_charge_input(id, 0.5 * world.drain_rate(id));
+      world.set_charge_input(id, 0.0);
+    }
+  };
+  // Warm up until escalations have been both delivered and deferred.
+  Seconds t = 0.0;
+  while (world.trace().escalations.empty() || delays == 0) {
+    storm();
+    t += 1'800.0;
+    sim.run_until(t);
+  }
+  const std::size_t escalations = world.trace().escalations.size();
+  const std::size_t deferred = delays;
+
+  g_allocations = 0;
+  g_counting = true;
+  for (int round = 0; round < 24; ++round) {
+    storm();
+    t += 1'800.0;
+    sim.run_until(t);
+  }
+  g_counting = false;
+
+  EXPECT_GT(world.trace().escalations.size(), escalations);
+  EXPECT_GT(delays, deferred);
   EXPECT_EQ(g_allocations, 0u);
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -204,6 +205,76 @@ TEST(Simulator, StepExecutesOneEvent) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
+}
+
+TEST(Simulator, EventAndNodeTimerAtTheSameTimeFireInSeqOrder) {
+  // A timer arm draws its seq from the same counter as schedule_at, so
+  // same-time events and timers fire in the order they were scheduled and
+  // armed, whichever comes first; a re-arm draws a fresh seq and moves the
+  // timer behind what was scheduled in between.
+  for (const bool timer_first : {true, false}) {
+    Simulator sim;
+    std::vector<int> order;  // event k -> k, timer of node n -> 100 + n
+    NodeTimerQueue timers([&](std::uint32_t node, NodeTimer) {
+      order.push_back(100 + int(node));
+    });
+    timers.reset(3);
+    sim.attach_timers(&timers);
+    const auto event = [&](int k) {
+      sim.schedule_at(5.0, [&order, k] { order.push_back(k); });
+    };
+    if (timer_first) {
+      sim.arm_timer(1, NodeTimer::Death, 5.0);
+      event(0);
+    } else {
+      event(0);
+      sim.arm_timer(1, NodeTimer::Death, 5.0);
+    }
+    sim.arm_timer(2, NodeTimer::Request, 5.0);
+    event(1);
+    sim.arm_timer(2, NodeTimer::Request, 5.0);  // re-armed: now behind 1
+    EXPECT_EQ(sim.pending(), 4u);
+    sim.run_until(5.0);
+    const std::vector<int> expected =
+        timer_first ? std::vector<int>{101, 0, 1, 102}
+                    : std::vector<int>{0, 101, 1, 102};
+    EXPECT_EQ(order, expected);
+    // One executed() tick per fired event or timer, nothing else.
+    EXPECT_EQ(sim.executed(), 4u);
+    EXPECT_EQ(sim.pending(), 0u);
+    sim.attach_timers(nullptr);
+  }
+}
+
+TEST(Simulator, DisarmedNodeTimersNeverFire) {
+  Simulator sim;
+  std::vector<std::pair<std::uint32_t, NodeTimer>> fired;
+  NodeTimerQueue timers([&](std::uint32_t node, NodeTimer kind) {
+    fired.emplace_back(node, kind);
+  });
+  timers.reset(2);
+  sim.attach_timers(&timers);
+  const NodeTimer kinds[] = {NodeTimer::Death, NodeTimer::Request,
+                             NodeTimer::Emergency, NodeTimer::Escalation,
+                             NodeTimer::Hardware};
+  for (const NodeTimer kind : kinds) {
+    sim.arm_timer(0, kind, 1.0 + double(static_cast<int>(kind)));
+    sim.arm_timer(1, kind, 1.0 + double(static_cast<int>(kind)));
+  }
+  EXPECT_EQ(sim.pending(), 10u);
+  EXPECT_TRUE(sim.disarm_timer(0, NodeTimer::Request));
+  EXPECT_FALSE(sim.disarm_timer(0, NodeTimer::Request));
+  sim.disarm_timers(1);
+  EXPECT_EQ(sim.pending(), 4u);
+  sim.run_all();
+  const std::vector<std::pair<std::uint32_t, NodeTimer>> expected = {
+      {0, NodeTimer::Death},
+      {0, NodeTimer::Emergency},
+      {0, NodeTimer::Escalation},
+      {0, NodeTimer::Hardware}};
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.executed(), 4u);
+  sim.attach_timers(nullptr);
 }
 
 // --- world fixtures -------------------------------------------------------
@@ -477,6 +548,34 @@ TEST(World, HardwareFailuresKillWithoutDraining) {
   sim.run_until(3000.0);
   EXPECT_EQ(world.alive_count(), 0u);
   EXPECT_GE(world.trace().deaths.size(), 2u);
+}
+
+TEST(World, RetiredNodesTimersNeverFire) {
+  // Node 0 is killed while its death, request, emergency and hardware
+  // timers are armed; node 1 later while its death, emergency, escalation
+  // and hardware timers are.  Neither may fire afterwards: no request,
+  // escalation or second death record, and nothing left pending.
+  Simulator sim;
+  WorldParams params = small_params();
+  params.emergency_enabled = true;
+  params.hardware_mtbf = 1e9;  // armed on both nodes, due far past the end
+  World world(sim, line2(), params, Rng(1));
+  sim.run_until(100.0);
+  ASSERT_TRUE(world.inject_hardware_failure(0));
+  sim.run_until(750.0);  // node 1 requested at ~700 s
+  ASSERT_TRUE(world.has_pending_request(1));
+  ASSERT_TRUE(world.inject_hardware_failure(1));
+  EXPECT_EQ(sim.pending(), 0u);
+  const std::size_t requests = world.trace().requests.size();
+  sim.run_all();
+  EXPECT_EQ(world.trace().requests.size(), requests);
+  EXPECT_TRUE(world.trace().escalations.empty());
+  ASSERT_EQ(world.trace().deaths.size(), 2u);
+  EXPECT_EQ(world.trace().deaths[0].node, 0u);
+  EXPECT_EQ(world.trace().deaths[1].node, 1u);
+  for (const RequestRecord& r : world.trace().requests) {
+    EXPECT_EQ(r.node, 1u);
+  }
 }
 
 TEST(World, ParamsValidation) {

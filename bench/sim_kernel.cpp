@@ -328,39 +328,34 @@ BENCHMARK(BM_WorldRepairReplay)
     ->Arg(10'000)
     ->Unit(benchmark::kMillisecond);
 
-// Kernel churn: steady-state schedule/cancel pressure with `range` live
-// events, the pattern the world generates when drains shift (cancel the
-// superseded event, schedule the replacement).  Exercises the slab free
-// list, the 4-ary heap, and tombstone compaction; steady state allocates
-// nothing.
-void BM_KernelScheduleCancelChurn(benchmark::State& state) {
+// Kernel churn: steady state with `range` pending events, one fire and one
+// schedule per op — the pattern of vehicles, faults and mobility epochs,
+// each of which schedules its next event when one fires.  The new event
+// lands at a pseudo-random depth of the heap.  Exercises the slab free list
+// and the 4-ary heap; steady state allocates nothing.
+void BM_KernelScheduleFireChurn(benchmark::State& state) {
   const auto live = static_cast<std::size_t>(state.range(0));
   sim::Simulator sim;
   sim.reserve(live);
-  std::vector<sim::EventId> ids(live);
   for (std::size_t i = 0; i < live; ++i) {
-    ids[i] = sim.schedule_at(1e12 + double(i), [] {});
+    sim.schedule_at(double(i), [] {});
   }
   std::uint64_t lcg = 0x2545F4914F6CDD1Dull;
-  double t = 0.0;
   for (auto _ : state) {
+    sim.step();
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    const std::size_t victim = (lcg >> 33) % live;
-    sim.cancel(ids[victim]);
-    t += 1.0;
-    ids[victim] = sim.schedule_at(1e12 + t, [] {});
-    benchmark::DoNotOptimize(ids[victim]);
+    sim.schedule_in(double((lcg >> 33) % live), [] {});
   }
+  benchmark::DoNotOptimize(sim.executed());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
-BENCHMARK(BM_KernelScheduleCancelChurn)
+BENCHMARK(BM_KernelScheduleFireChurn)
     ->Arg(1'000)
     ->Arg(10'000)
     ->Arg(100'000);
 
-// The world's side of the same pressure: `range` nodes with an armed death
-// timer, one re-arm per op.  A re-arm is one update-key in the node timer
-// queue where the kernel pays a cancel and a schedule.
+// The world's side of the churn: `range` nodes with an armed death timer,
+// one re-arm per op.  A re-arm is one update-key in the node timer queue.
 void BM_NodeTimerRearmChurn(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
   sim::Simulator sim;

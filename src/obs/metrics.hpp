@@ -47,7 +47,6 @@ enum class Metric : std::uint16_t {
   kSimEventsScheduled,
   kSimEventsFired,
   kSimEventsCancelled,
-  kSimHeapCompactions,
   kSimHeapPeak,  ///< gauge-max: most kernel-heap entries + queued timer nodes
   // Incremental world updates / routing (src/sim/world.cpp).
   kNetRoutingRepairs,   ///< Fast-mode deaths (every one is a subtree repair)
@@ -168,7 +167,6 @@ inline constexpr std::array<MetricDef, kMetricCount> kDefTable{{
     counter("sim.events_scheduled"),
     counter("sim.events_fired"),
     counter("sim.events_cancelled"),
-    counter("sim.heap_compactions"),
     gauge("sim.heap_peak"),
     counter("net.routing_repairs"),
     counter("net.routing_rebuilds"),

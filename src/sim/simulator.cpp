@@ -21,11 +21,10 @@ Simulator::~Simulator() {
   WRSN_OBS_ADD(kSimEventsScheduled, double(next_seq_));
   WRSN_OBS_ADD(kSimEventsFired, double(executed_));
   WRSN_OBS_ADD(kSimEventsCancelled, double(cancelled_));
-  WRSN_OBS_ADD(kSimHeapCompactions, double(compactions_));
   WRSN_OBS_GAUGE_MAX(kSimHeapPeak, double(heap_peak_));
 }
 
-EventId Simulator::schedule_at(Seconds at, EventCallback fn) {
+void Simulator::schedule_at(Seconds at, EventCallback fn) {
   WRSN_REQUIRE(at >= now_, "cannot schedule into the past");
   WRSN_REQUIRE(static_cast<bool>(fn), "null event callback");
 
@@ -38,37 +37,15 @@ EventId Simulator::schedule_at(Seconds at, EventCallback fn) {
     idx = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  Slot& slot = slots_[idx];
-  WRSN_ASSERT(!slot.scheduled);
-  slot.fn = std::move(fn);
-  slot.scheduled = true;
+  slots_[idx] = std::move(fn);
 
-  heap_push(HeapEntry{at, next_seq_++, idx, slot.gen});
-  ++live_;
+  heap_push(HeapEntry{at, next_seq_++, idx});
   note_peak();
-  return make_id(idx, slot.gen);
 }
 
-EventId Simulator::schedule_in(Seconds delay, EventCallback fn) {
+void Simulator::schedule_in(Seconds delay, EventCallback fn) {
   WRSN_REQUIRE(delay >= 0.0, "negative delay");
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-bool Simulator::cancel(EventId id) {
-  const std::uint64_t low = id & 0xffffffffull;
-  if (low == 0) return false;  // kInvalidEvent
-  const auto idx = static_cast<std::uint32_t>(low - 1);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (idx >= slots_.size()) return false;  // never scheduled
-  Slot& slot = slots_[idx];
-  if (!slot.scheduled || slot.gen != gen) return false;  // fired or cancelled
-
-  release_slot(idx);  // generation bump turns the heap entry into a tombstone
-  --live_;
-  ++stale_;
-  ++cancelled_;
-  if (stale_ * 2 > heap_.size()) compact();
-  return true;
+  schedule_at(now_ + delay, std::move(fn));
 }
 
 void Simulator::attach_timers(NodeTimerQueue* timers) {
@@ -107,10 +84,6 @@ void Simulator::load_timers(NodeTimer kind, const std::vector<Seconds>& at) {
 }
 
 bool Simulator::run_next(Seconds until) {
-  while (!heap_.empty() && entry_stale(heap_.front())) {
-    heap_pop_front();
-    --stale_;
-  }
   const bool have_timer = timers_ != nullptr && !timers_->empty();
   if (have_timer &&
       (heap_.empty() ||
@@ -130,11 +103,9 @@ bool Simulator::run_next(Seconds until) {
   heap_pop_front();
   WRSN_ASSERT(top.time >= now_);
   // Move the callback out and free the slot *before* invoking, so the
-  // callback can schedule new events (possibly into this very slot) and
-  // a cancel of the fired id reports false instead of hitting a reuse.
-  EventCallback fn = std::move(slots_[top.slot].fn);
-  release_slot(top.slot);
-  --live_;
+  // callback can schedule new events, possibly into this very slot.
+  EventCallback fn = std::move(slots_[top.slot]);
+  free_.push_back(top.slot);
   now_ = top.time;
   ++executed_;
   fn();
@@ -158,9 +129,7 @@ bool Simulator::step() { return run_next(kNever); }
 void Simulator::reserve(std::size_t capacity) {
   slots_.reserve(capacity);
   free_.reserve(capacity);
-  // Compaction keeps tombstones at no more than half the heap, so twice the
-  // live capacity (plus one for the in-flight push) is a steady-state bound.
-  heap_.reserve(2 * capacity + 1);
+  heap_.reserve(capacity);
 }
 
 void Simulator::heap_push(const HeapEntry& entry) {
@@ -206,21 +175,6 @@ void Simulator::sift_down(std::size_t i) {
     i = best;
   }
   heap_[i] = item;
-}
-
-void Simulator::compact() {
-  ++compactions_;
-  std::size_t keep = 0;
-  for (const HeapEntry& entry : heap_) {
-    if (!entry_stale(entry)) heap_[keep++] = entry;
-  }
-  heap_.resize(keep);
-  if (heap_.size() > 1) {
-    for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
-      sift_down(i);
-    }
-  }
-  stale_ = 0;
 }
 
 }  // namespace wrsn::sim

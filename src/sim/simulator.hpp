@@ -11,15 +11,15 @@
 //     schedule_at and peeks at the queue's head beside its heap top, so
 //     the merged order is the one a single heap of all events would give.
 //
+// An ordinary event cannot be cancelled once scheduled: a holder that may
+// have to drop one guards its callback with a version (as vehicles do), and
+// a per-node timer is disarmed in its queue.  So every heap entry is live.
+//
 // Storage layout of the kernel's own events (allocation- and hash-free):
-//   * Event records live in a slab of reusable slots; an EventId encodes
-//     (slot index, generation).  Cancellation bumps the slot generation —
-//     O(1), no hashing — and any heap entry carrying the old generation is a
-//     tombstone that is dropped lazily.
+//   * Callbacks live in a slab of reusable slots; a fired event's slot goes
+//     back on a free list before its callback runs.
 //   * The ready queue is a 4-ary implicit heap of POD entries keyed by
 //     (time, seq); callbacks stay in the slab, so heap moves copy 24 bytes.
-//   * When more than half the heap is tombstones, the heap is compacted in
-//     place (filter + heapify), bounding memory and pop cost.
 //   * Callbacks are type-erased into EventCallback, which stores small
 //     closures inline (no per-event heap allocation; larger ones fall back
 //     to the heap transparently).
@@ -38,10 +38,6 @@
 #include "sim/node_timers.hpp"
 
 namespace wrsn::sim {
-
-using EventId = std::uint64_t;
-
-inline constexpr EventId kInvalidEvent = 0;
 
 /// Move-only type-erased `void()` callable with inline storage for small
 /// closures.  Event callbacks capture a few words (object pointer, node id,
@@ -156,25 +152,18 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   /// Flushes the kernel tallies (events scheduled/fired/cancelled, heap
-  /// peak, compactions) to the installed obs registry in one shot — the
-  /// per-event paths are too hot for a registry write each.
+  /// peak) to the installed obs registry in one shot — the per-event paths
+  /// are too hot for a registry write each.
   ~Simulator();
 
   /// Current simulation time [s].
   Seconds now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `at` (>= now); returns a cancellable id.
-  /// Ids are never reused: a slot that is recycled gets a fresh generation,
-  /// so stale ids from fired or cancelled events can never hit a newer event.
-  EventId schedule_at(Seconds at, EventCallback fn);
+  /// Schedules `fn` at absolute time `at` (>= now).
+  void schedule_at(Seconds at, EventCallback fn);
 
   /// Schedules `fn` after `delay` seconds (>= 0).
-  EventId schedule_in(Seconds delay, EventCallback fn);
-
-  /// Cancels a pending event in O(1); returns false — with no state change —
-  /// if the id already fired, was already cancelled, or was never scheduled
-  /// (safe to call either way).
-  bool cancel(EventId id);
+  void schedule_in(Seconds delay, EventCallback fn);
 
   /// Merges `timers` into the loop as a second event source; nullptr
   /// detaches it.  At most one queue is attached at a time.
@@ -206,62 +195,29 @@ class Simulator {
   /// Number of events and timers fired so far.
   std::uint64_t executed() const { return executed_; }
 
-  /// Number of live (scheduled, not yet fired or cancelled) events and
-  /// armed timers.
+  /// Number of scheduled events not yet fired, plus armed timers.
   std::size_t pending() const {
-    return live_ + (timers_ != nullptr ? timers_->armed_count() : 0);
+    return heap_.size() + (timers_ != nullptr ? timers_->armed_count() : 0);
   }
 
   /// Pre-sizes the slab, heap, and free list so a workload with at most
   /// `capacity` concurrently pending events never allocates after this call.
   void reserve(std::size_t capacity);
 
-  // Introspection for tests and benches.
-  /// Heap entries including tombstones of cancelled events.
-  std::size_t heap_size() const { return heap_.size(); }
-  /// Tombstones currently in the heap (always <= heap_size() / 2 + 1 after
-  /// a cancel, thanks to compaction).
-  std::size_t stale_entries() const { return stale_; }
   /// Number of slab slots ever allocated (peak concurrent events).
   std::size_t slab_size() const { return slots_.size(); }
 
  private:
-  struct Slot {
-    EventCallback fn;
-    std::uint32_t gen = 0;
-    bool scheduled = false;
-  };
-
-  /// POD heap entry; the generation detects tombstones without hashing.
+  /// POD heap entry; the callback stays in slab slot `slot`.
   struct HeapEntry {
     Seconds time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
 
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
-  }
-
-  static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<EventId>(gen) << 32) |
-           (static_cast<EventId>(slot) + 1);
-  }
-
-  bool entry_stale(const HeapEntry& e) const {
-    return slots_[e.slot].gen != e.gen;
-  }
-
-  /// Returns the slot to the free list and bumps its generation, killing
-  /// every outstanding id and heap tombstone that still references it.
-  void release_slot(std::uint32_t idx) {
-    Slot& slot = slots_[idx];
-    slot.fn.reset();
-    slot.scheduled = false;
-    ++slot.gen;
-    free_.push_back(idx);
   }
 
   /// Tracks the peak of heap entries plus queued timer nodes.
@@ -274,8 +230,6 @@ class Simulator {
   void heap_pop_front();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  /// Drops all tombstones and re-heapifies in place.
-  void compact();
 
   /// Fires the earliest event or timer if its time is <= `until`.
   bool run_next(Seconds until);
@@ -284,11 +238,8 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::uint64_t compactions_ = 0;
   std::size_t heap_peak_ = 0;
-  std::size_t live_ = 0;
-  std::size_t stale_ = 0;
-  std::vector<Slot> slots_;
+  std::vector<EventCallback> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;
   NodeTimerQueue* timers_ = nullptr;

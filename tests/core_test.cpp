@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -214,8 +215,35 @@ TEST(TravelMatrix, SetRejectsWrongSize) {
   TideInstance inst = simple_instance();
   inst.stops.push_back(make_stop({1, 0}, 0.0, 1e6, 1.0, 1.0, false));
   TideInstance other = simple_instance();
-  EXPECT_THROW(inst.set_travel_matrix(TravelMatrix::build(other)),
+  EXPECT_THROW(inst.set_travel_matrix(std::make_shared<const TravelMatrix>(
+                   TravelMatrix::build(other))),
                PreconditionError);
+}
+
+// The lazily built matrix snapshots the stops it was built for.  Planning
+// again after stops were added, without installing a matrix again, must
+// throw instead of reading the old matrix past its end.
+TEST(TravelMatrix, StaleLazyMatrixThrowsInsteadOfReadingPastIt) {
+  Rng gen(11);
+  TideInstance inst = simple_instance();
+  const auto push_stops = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      inst.stops.push_back(make_stop(
+          {gen.uniform(-100.0, 100.0), gen.uniform(-100.0, 100.0)}, 0.0, 1e6,
+          1.0, 1.0, i == 0));
+    }
+  };
+  push_stops(3);
+  Rng rng(1);
+  (void)CsaPlanner().plan(inst, rng);
+  push_stops(37);
+  EXPECT_THROW((void)CsaPlanner().plan(inst, rng), PreconditionError);
+
+  const auto matrix = std::make_shared<TravelMatrix>();
+  matrix->rebuild(inst);
+  inst.set_travel_matrix(std::shared_ptr<const TravelMatrix>(matrix));
+  const Plan plan = CsaPlanner().plan(inst, rng);
+  EXPECT_TRUE(plan.covers_all_keys());
 }
 
 // Bitwise double equality (EXPECT_EQ on doubles would let -0.0 == 0.0 pass).
@@ -257,6 +285,56 @@ TEST(TravelMatrix, RebuildAfterStopsMoveLeavesNoStaleRow) {
           << i << "," << j;
     }
   }
+}
+
+// RouteState caches row pointers at insert, so a row handed out early in a
+// generation must keep its address and values while later rows are filled
+// (50 more here, enough to grow the row pool several times).  A rebuild at
+// a larger stop count must then serve fresh rows only.
+TEST(TravelMatrix, EarlyRowPointerSurvivesPoolGrowthAndRebuild) {
+  Rng gen(23);
+  TideInstance inst = simple_instance();
+  inst.speed = 2.75;
+  const auto push_stops = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      inst.stops.push_back(make_stop(
+          {gen.uniform(-300.0, 300.0), gen.uniform(-300.0, 300.0)}, 0.0, 1e6,
+          1.0, 1.0, false));
+    }
+  };
+  push_stops(64);
+  TravelMatrix m;
+  m.rebuild(inst);
+  const Seconds* const early = m.row(5);
+  std::vector<std::uint64_t> expect(inst.stops.size());
+  for (std::size_t j = 0; j < inst.stops.size(); ++j) {
+    expect[j] = bits(inst.travel_time(inst.stops[5].position,
+                                      inst.stops[j].position));
+    ASSERT_EQ(bits(early[j]), expect[j]) << j;
+  }
+  for (std::size_t i = 10; i < 60; ++i) (void)m.row(i);
+  ASSERT_EQ(m.rows_filled(), 51u);
+  EXPECT_EQ(m.row(5), early);
+  for (std::size_t j = 0; j < inst.stops.size(); ++j) {
+    EXPECT_EQ(bits(early[j]), expect[j]) << j;
+  }
+
+  for (Stop& s : inst.stops) {
+    s.position += Vec2{gen.uniform(-20.0, 20.0), gen.uniform(-20.0, 20.0)};
+  }
+  push_stops(40);
+  m.rebuild(inst);
+  EXPECT_EQ(m.rows_filled(), 0u);
+  ASSERT_EQ(m.size(), inst.stops.size());
+  for (std::size_t i = inst.stops.size(); i-- > 0;) {
+    for (std::size_t j = 0; j < inst.stops.size(); ++j) {
+      EXPECT_EQ(bits(m.between(i, j)),
+                bits(inst.travel_time(inst.stops[i].position,
+                                      inst.stops[j].position)))
+          << i << "," << j;
+    }
+  }
+  EXPECT_EQ(m.rows_filled(), inst.stops.size());
 }
 
 // between(i, j) == between(j, i) == travel_time bit-for-bit, whichever row

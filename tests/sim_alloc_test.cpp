@@ -11,7 +11,9 @@
 //
 // The same guarantee is pinned for the planners (CsaPlanner::plan_into and
 // the fleet replan run on arenas reused across calls) and for the batched
-// wpt kernels (pure array passes over caller storage).
+// wpt kernels (pure array passes over caller storage).  The counter also
+// sums the bytes requested, which bounds what a large plan's travel matrix
+// holds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,9 +42,13 @@ namespace {
 // freely) in parallel.
 thread_local bool g_counting = false;
 thread_local std::size_t g_allocations = 0;
+thread_local std::size_t g_bytes = 0;
 
 void* counted_alloc(std::size_t size) {
-  if (g_counting) ++g_allocations;
+  if (g_counting) {
+    ++g_allocations;
+    g_bytes += size;
+  }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -328,6 +334,43 @@ TEST(PlannerAllocation, ReplansStayAllocationFreeAcrossLargeSmallLarge) {
   EXPECT_EQ(u_large, large_utility);
   EXPECT_EQ(f_small, small_fleet_utility);
   EXPECT_EQ(f_large, large_fleet_utility);
+}
+
+// A 1,610-stop plan holds the matrix rows its route fills, not an n x n
+// block (20.7 MB at this size).  The planner's arenas are warmed on the same
+// stops first, so the bytes counted below are the fresh matrix's: its O(n)
+// snapshot (positions 16 B, start row 8 B and row table 8 B a stop) plus
+// one n-cell buffer per row filled.
+TEST(PlannerAllocation, LargePlanMatrixBytesScaleWithRowsFilled) {
+  constexpr std::size_t kStops = 1'610;
+  Rng gen(42);
+  csa::TideInstance inst;
+  inst.start_position = {0.0, 0.0};
+  inst.speed = 3.0;
+  for (std::size_t i = 0; i < kStops; ++i) {
+    inst.stops.push_back(random_stop(gen, i, i < 10));
+  }
+  const csa::CsaPlanner planner;
+  Rng rng(1);
+  csa::Plan plan;
+  planner.plan_into(inst, rng, plan);  // warmup sizes every planner arena
+  const double warm_utility = plan.utility;
+
+  g_bytes = 0;
+  g_counting = true;
+  const auto matrix = std::make_shared<csa::TravelMatrix>();
+  matrix->rebuild(inst);
+  inst.set_travel_matrix(std::shared_ptr<const csa::TravelMatrix>(matrix));
+  planner.plan_into(inst, rng, plan);
+  g_counting = false;
+
+  EXPECT_EQ(plan.utility, warm_utility);
+  const std::size_t rows = matrix->rows_filled();
+  EXPECT_GT(rows, 0u);
+  EXPECT_LT(rows, kStops / 4);
+  const std::size_t row_bytes = kStops * sizeof(Seconds);
+  EXPECT_LE(g_bytes, (rows + 1) * row_bytes + 4 * row_bytes)
+      << rows << " rows filled";
 }
 
 TEST(WptAllocation, BatchKernelsDoNotAllocate) {

@@ -51,82 +51,18 @@ TEST(Simulator, RunUntilAdvancesClockAndStopsAtBoundary) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(1.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.cancel(id));
-  EXPECT_FALSE(sim.cancel(id));  // double-cancel reports false
-  sim.run_all();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Simulator, CancelOfDeadOrUnknownIdReturnsFalse) {
-  Simulator sim;
-  const EventId id = sim.schedule_at(1.0, [] {});
-  sim.run_all();
-  EXPECT_FALSE(sim.cancel(id));             // already fired
-  EXPECT_FALSE(sim.cancel(kInvalidEvent));  // never a real id
-  EXPECT_FALSE(sim.cancel(~EventId{0}));    // never scheduled
-  // Cancel-after-fire with slot reuse: the next schedule may land in the
-  // fired event's slab slot, but the generation embedded in the id changed,
-  // so the stale id can neither collide with nor cancel the new event.
-  int fired = 0;
-  const EventId next = sim.schedule_in(1.0, [&] { ++fired; });
-  EXPECT_NE(next, id);
-  EXPECT_FALSE(sim.cancel(id));  // stale id; must not touch the new event
-  EXPECT_EQ(sim.pending(), 1u);
-  sim.run_all();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Simulator, RunUntilWithCancelledHeadAdvancesClock) {
-  Simulator sim;
-  const EventId id = sim.schedule_at(5.0, [] {});
-  EXPECT_TRUE(sim.cancel(id));
-  // The heap head is a tombstone; run_until must skip it and still advance
-  // the clock to the boundary.
-  sim.run_until(7.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 7.0);
-  EXPECT_EQ(sim.executed(), 0u);
-  EXPECT_EQ(sim.pending(), 0u);
-}
-
 TEST(Simulator, CallbackCanRescheduleIntoItsOwnSlot) {
   // The kernel releases the firing event's slot before invoking its
   // callback, so a callback may schedule into the very slot it fired from.
-  // Its own (now stale) id must not be able to cancel the new occupant.
   Simulator sim;
-  EventId first = kInvalidEvent;
   int second_fired = 0;
-  first = sim.schedule_at(1.0, [&] {
-    const EventId next = sim.schedule_in(1.0, [&] { ++second_fired; });
-    EXPECT_NE(next, first);
-    EXPECT_FALSE(sim.cancel(first));  // the firing event is already dead
+  sim.schedule_at(1.0, [&] {
+    sim.schedule_in(1.0, [&] { ++second_fired; });
+    EXPECT_EQ(sim.slab_size(), 1u);  // the new event reused the slot
   });
   sim.run_all();
   EXPECT_EQ(second_fired, 1);
   EXPECT_EQ(sim.executed(), 2u);
-}
-
-TEST(Simulator, CompactionBoundsStaleHeapEntries) {
-  Simulator sim;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1'000; ++i) {
-    ids.push_back(sim.schedule_at(1.0 + i, [] {}));
-  }
-  // Cancel 90 %: compaction must keep tombstones at no more than half the
-  // heap at every step, and the survivors must all still fire.
-  for (int i = 0; i < 1'000; ++i) {
-    if (i % 10 == 0) continue;
-    sim.cancel(ids[i]);
-    EXPECT_LE(sim.stale_entries() * 2, sim.heap_size());
-  }
-  EXPECT_EQ(sim.pending(), 100u);
-  sim.run_all();
-  EXPECT_EQ(sim.executed(), 100u);
-  EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_EQ(sim.stale_entries(), 0u);
 }
 
 TEST(Simulator, ReserveDoesNotDisturbPendingEvents) {
@@ -139,33 +75,32 @@ TEST(Simulator, ReserveDoesNotDisturbPendingEvents) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, CancelLeavesNoResidueInPendingCount) {
+TEST(Simulator, ScheduleFireChurnLeavesNoResidue) {
   Simulator sim;
-  // Long-run pattern: schedule + cancel-after-fire must not grow any
-  // internal tombstone set or corrupt the pending() count.
+  // Long-run pattern: schedule + fire, over and over, must reuse one slab
+  // slot and leave nothing behind in pending().
   for (int round = 0; round < 1'000; ++round) {
-    const EventId id = sim.schedule_in(1.0, [] {});
+    sim.schedule_in(1.0, [] {});
     EXPECT_EQ(sim.pending(), 1u);
     sim.run_all();
     EXPECT_EQ(sim.pending(), 0u);
-    EXPECT_FALSE(sim.cancel(id));   // dead; must be a no-op
-    EXPECT_EQ(sim.pending(), 0u);   // and leave nothing behind
   }
   EXPECT_EQ(sim.executed(), 1'000u);
+  EXPECT_EQ(sim.slab_size(), 1u);
 }
 
 TEST(Simulator, PendingCountsOnlyLiveEvents) {
   Simulator sim;
-  const EventId a = sim.schedule_at(1.0, [] {});
-  const EventId b = sim.schedule_at(2.0, [] {});
+  sim.schedule_at(1.0, [] {});
+  sim.schedule_at(2.0, [] {});
   sim.schedule_at(3.0, [] {});
   EXPECT_EQ(sim.pending(), 3u);
-  EXPECT_TRUE(sim.cancel(a));
-  EXPECT_TRUE(sim.cancel(b));
+  sim.run_until(2.0);
   EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.executed(), 2u);
   sim.run_all();
   EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_EQ(sim.executed(), 1u);
+  EXPECT_EQ(sim.executed(), 3u);
 }
 
 TEST(Simulator, EventsScheduledDuringEventsRun) {

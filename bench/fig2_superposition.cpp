@@ -8,7 +8,6 @@
 // the rectifier's sensitivity threshold swallows the residual — the window
 // the Charging Spoofing Attack lives in.
 #include <iostream>
-#include <vector>
 
 #include "analysis/table.hpp"
 #include "wpt/charging_model.hpp"
@@ -35,8 +34,6 @@ int main() {
   phase_table.headers({"phase/pi", "RF coherent [W]", "RF incoherent [W]",
                        "DC harvested [W]", "DC if linear [W]"});
 
-  std::vector<Radians> phis;
-  std::vector<Watts> rf_coh, rf_inc;
   for (int step = 0; step <= 32; ++step) {
     const Radians phi = constants::kTwoPi * step / 32.0;
     wpt::WaveSource s1 = model.as_wave_source(charger + Vec2{0.0, sep / 2});
@@ -50,19 +47,14 @@ int main() {
     s2.phase_offset = wpt::propagation_phase(d2, s2.wavelength) + phi;
 
     const wpt::WaveSource arr[] = {s1, s2};
-    phis.push_back(phi);
-    rf_coh.push_back(wpt::superposed_rf_power(arr, target));
-    rf_inc.push_back(wpt::incoherent_rf_power(arr, target));
-  }
-  // The whole sweep's rectifier chain runs as one batched transfer call.
-  std::vector<Watts> dc(rf_coh.size());
-  model.rectifier().harvest_batch(rf_coh, dc);
-  for (std::size_t i = 0; i < phis.size(); ++i) {
+    const Watts rf_coh = wpt::superposed_rf_power(arr, target);
     // "If linear": a naive model with no sensitivity threshold.
-    const Watts dc_linear = model.rectifier().params().max_efficiency * rf_coh[i];
-    phase_table.row({analysis::fmt(phis[i] / constants::kPi, 3),
-                     analysis::fmt(rf_coh[i], 4), analysis::fmt(rf_inc[i], 4),
-                     analysis::fmt(dc[i], 4), analysis::fmt(dc_linear, 4)});
+    const Watts dc_linear = model.rectifier().params().max_efficiency * rf_coh;
+    phase_table.row({analysis::fmt(phi / constants::kPi, 3),
+                     analysis::fmt(rf_coh, 4),
+                     analysis::fmt(wpt::incoherent_rf_power(arr, target), 4),
+                     analysis::fmt(model.rectifier().dc_output(rf_coh), 4),
+                     analysis::fmt(dc_linear, 4)});
   }
   phase_table.print(std::cout);
 
@@ -86,28 +78,19 @@ int main() {
   dist_table.print(std::cout);
 
   // --- (c) spatial profile of the null around the rectenna --------------
-  // One batched field evaluation over the whole probe line: the null is a
-  // local feature of the interference pattern, so a probe centimeters away
-  // (the comm antenna, a neighbour's RSSI sensor) still sees a hot carrier.
+  // The null is a local feature of the interference pattern, so a probe
+  // centimeters away (the comm antenna, a neighbour's RSSI sensor) still
+  // sees a hot carrier.
   const wpt::SpoofOutcome cancelled =
       emitter.configure({-1.0, 0.0}, {0.0, 0.0}, nullptr);
   analysis::Table profile_table(
       "Fig. 2c: residual RF vs probe offset from the rectenna "
-      "(phase-cancelled pair at 1 m, one batched field pass)");
+      "(phase-cancelled pair at 1 m)");
   profile_table.headers({"offset [m]", "RF [W]", "DC [W]"});
-  std::vector<Meters> px, py;
   for (double off = -0.10; off <= 0.1001; off += 0.02) {
-    px.push_back(0.0);
-    py.push_back(off);
-  }
-  std::vector<Watts> rf_profile(px.size());
-  std::vector<double> im_scratch(px.size());
-  emitter.rf_at_probes(cancelled, px, py, rf_profile, im_scratch);
-  std::vector<Watts> dc_profile(px.size());
-  model.rectifier().harvest_batch(rf_profile, dc_profile);
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    profile_table.row({analysis::fmt(py[i], 2), analysis::fmt(rf_profile[i], 6),
-                       analysis::fmt(dc_profile[i], 6)});
+    const Watts rf = emitter.rf_at_probe(cancelled, {0.0, off});
+    profile_table.row({analysis::fmt(off, 2), analysis::fmt(rf, 6),
+                       analysis::fmt(model.rectifier().dc_output(rf), 6)});
   }
   profile_table.print(std::cout);
 

@@ -4,9 +4,7 @@
 // Expected shape: zero below the sensitivity threshold, a steep knee, then
 // saturation near the peak efficiency — the curve that makes partial wave
 // cancellation equivalent to total energy denial.
-#include <cmath>
 #include <iostream>
-#include <vector>
 
 #include "analysis/table.hpp"
 #include "wpt/rectifier.hpp"
@@ -19,21 +17,11 @@ int main() {
   analysis::Table table("Fig. 3: rectifier RF->DC transfer curve");
   table.headers({"RF in [dBm]", "RF in [W]", "efficiency", "DC out [W]"});
 
-  // The whole curve goes through the batched transfer kernel in one call
-  // (bit-identical to per-point dc_output).
-  std::vector<double> dbms;
-  std::vector<Watts> rf_in;
   for (double dbm = -10.0; dbm <= 42.0; dbm += 2.0) {
-    dbms.push_back(dbm);
-    rf_in.push_back(dbm_to_watts(dbm));
-  }
-  std::vector<Watts> dc_out(rf_in.size());
-  rect.harvest_batch(rf_in, dc_out);
-
-  for (std::size_t i = 0; i < rf_in.size(); ++i) {
-    table.row({analysis::fmt(dbms[i], 0), analysis::fmt(rf_in[i], 6),
-               analysis::fmt(rect.efficiency(rf_in[i]), 4),
-               analysis::fmt(dc_out[i], 5)});
+    const Watts rf = dbm_to_watts(dbm);
+    table.row({analysis::fmt(dbm, 0), analysis::fmt(rf, 6),
+               analysis::fmt(rect.efficiency(rf), 4),
+               analysis::fmt(rect.dc_output(rf), 5)});
   }
   table.print(std::cout);
 

@@ -67,32 +67,14 @@ std::size_t seed_charger(const FleetInstance& instance, geom::Vec2 p,
 void fill_cell_celf(const TideInstance& instance, RouteState& route,
                     const std::vector<std::size_t>& cell, CelfFill& fill,
                     std::vector<std::size_t>& spill) {
-  const TravelMatrix& tt = instance.travel_matrix();
-  std::vector<CelfCandidate>& candidates = fill.candidates();
-  candidates.clear();
-  candidates.reserve(cell.size());
+  fill.clear(cell.size());
   for (const std::size_t i : cell) {
-    const Stop& s = instance.stops[i];
-    if (instance.start_time + tt.from_start(i) >
-        s.window_close + kWindowEpsilon + 1e-6) {
-      spill.push_back(i);  // unreachable even straight from the start
-      continue;
-    }
-    CelfCandidate c;
-    c.stop = i;
-    c.utility = s.utility;
-    c.open = s.window_open;
-    c.close_eps = s.window_close + kWindowEpsilon;
-    c.service = s.service_time;
-    candidates.push_back(c);
+    if (!fill.add(instance, i)) spill.push_back(i);
   }
-  // The fleet planner keeps no per-fill observability tallies; feed the
-  // shared engine throwaway accumulators.
+  // The fleet planner keeps no per-fill observability tally.
   std::uint64_t tried = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  fill.run(instance, route, tried, hits, misses);
-  for (const CelfCandidate& c : candidates) {
+  fill.run(route, tried);
+  for (const CelfCandidate& c : fill.candidates()) {
     if (!c.inserted) spill.push_back(c.stop);
   }
 }

@@ -346,21 +346,15 @@ mc::Session CsaStrategy::spoofed_session(
           : emitter_->configure(charger_pos, node_pos, &rng_);
   session.dc = outcome.dc_at_target;
 
-  // The nearest alive neighbour probes the field too; it and the comm
-  // antenna share one batched field pass.
+  session.rf_observed = emitter_->rf_at_probe(outcome, comm_antenna);
+  // The nearest alive neighbour probes the field too.
   const auto [witness, nearest] = vehicle.nearest_alive_neighbor(id);
-  const bool has_witness = witness != net::kInvalidNode;
-  const geom::Vec2 witness_pos =
-      has_witness ? world_.network().node(witness).position : geom::Vec2{};
-  const Meters probe_x[2] = {comm_antenna.x, witness_pos.x};
-  const Meters probe_y[2] = {comm_antenna.y, witness_pos.y};
-  Watts probe_rf[2] = {0.0, 0.0};
-  double probe_im[2] = {0.0, 0.0};
-  const std::size_t probes = has_witness ? 2 : 1;
-  emitter_->rf_at_probes(outcome, {probe_x, probes}, {probe_y, probes},
-                         {probe_rf, probes}, {probe_im, probes});
-  session.rf_observed = probe_rf[0];
-  session.probe.emplace(has_witness ? probe_rf[1] : 0.0, nearest);
+  const Watts witness_rf =
+      witness == net::kInvalidNode
+          ? 0.0
+          : emitter_->rf_at_probe(outcome,
+                                  world_.network().node(witness).position);
+  session.probe.emplace(witness_rf, nearest);
   return session;
 }
 

@@ -42,53 +42,27 @@ void insert_keys_edf(const TideInstance& instance, RouteState& route,
 /// stop order with a strict >, which is exactly that tie-break, so neither
 /// the utility-sorted traversal here nor O(1) candidate removal (an
 /// `inserted` flag instead of the old O(n) mid-vector erase) can change the
-/// outcome.  The speedup comes from two places:
-///   1. utility is an upper bound on any stop's score (denominator >= 1),
-///      so a round may stop rescoring as soon as the remaining candidates'
-///      utilities fall below the incumbent best — with wide windows the
-///      winner's insertion is absorbed by waiting slack (delta = 0, score =
-///      utility) and a round rescoren only a handful of entries;
-///   2. each candidate caches its last best (pos, delta) stamped with the
-///      route version and is re-evaluated only when consulted stale.
-/// The round loop itself (and the leg-lane cache that keeps big pools'
-/// rescoring on L2-resident data) lives in the shared CelfFill engine.
+/// outcome.  The speedup: utility is an upper bound on any stop's score
+/// (denominator >= 1), so a round may stop rescoring as soon as the
+/// remaining candidates' utilities fall below the incumbent best — with
+/// wide windows the winner's insertion is absorbed by waiting slack (delta
+/// = 0, score = utility) and a round rescores only a handful of entries.
+/// The round loop itself lives in the shared CelfFill engine.
 void fill_utility_greedy(const TideInstance& instance, RouteState& route,
-                         CelfFill& fill, std::uint64_t& insertions_tried,
-                         std::uint64_t& cache_hits_out,
-                         std::uint64_t& cache_misses_out) {
-  const TravelMatrix& tt = instance.travel_matrix();
-  std::vector<CelfCandidate>& candidates = fill.candidates();
-  candidates.clear();
-  candidates.reserve(instance.stops.size());
+                         CelfFill& fill, std::uint64_t& insertions_tried) {
+  fill.clear(instance.stops.size());
   for (std::size_t i = 0; i < instance.stops.size(); ++i) {
     const Stop& s = instance.stops[i];
     if (s.is_key || s.utility <= 0.0) continue;
-    // A stop the charger cannot reach in time even driving straight from
-    // the start can never be inserted (any route prefix only arrives
-    // later); the guard keeps borderline floating-point cases in play so
-    // the reference planner's per-round rejections are reproduced exactly.
-    if (instance.start_time + tt.from_start(i) >
-        s.window_close + kWindowEpsilon + 1e-6) {
-      continue;
-    }
-    CelfCandidate c;
-    c.stop = i;
-    c.utility = s.utility;
-    c.open = s.window_open;
-    c.close_eps = s.window_close + kWindowEpsilon;
-    c.service = s.service_time;
-    candidates.push_back(c);
+    fill.add(instance, i);
   }
-  fill.run(instance, route, insertions_tried, cache_hits_out,
-           cache_misses_out);
+  fill.run(route, insertions_tried);
 }
 
 }  // namespace
 
 CsaPlanner::~CsaPlanner() {
   WRSN_OBS_ADD(kCsaInsertionsTried, double(insertions_tried_));
-  WRSN_OBS_ADD(kCsaCacheHits, double(cache_hits_));
-  WRSN_OBS_ADD(kCsaCacheMisses, double(cache_misses_));
 }
 
 Plan CsaPlanner::plan(const TideInstance& instance, Rng& rng) const {
@@ -105,8 +79,7 @@ void CsaPlanner::plan_into(const TideInstance& instance, Rng& rng,
   route_.bind(instance);
   route_.reserve(instance.stops.size());
   insert_keys_edf(instance, route_, keys_, insertions_tried_);
-  fill_utility_greedy(instance, route_, fill_, insertions_tried_,
-                      cache_hits_, cache_misses_);
+  fill_utility_greedy(instance, route_, fill_, insertions_tried_);
   route_.to_plan_into(out);
 }
 
@@ -118,13 +91,9 @@ Plan UtilityFirstPlanner::plan(const TideInstance& instance, Rng& rng) const {
   std::vector<std::size_t> keys;
   CelfFill fill;
   std::uint64_t insertions = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  fill_utility_greedy(instance, route, fill, insertions, hits, misses);
+  fill_utility_greedy(instance, route, fill, insertions);
   insert_keys_edf(instance, route, keys, insertions);
   WRSN_OBS_ADD(kCsaInsertionsTried, double(insertions));
-  WRSN_OBS_ADD(kCsaCacheHits, double(hits));
-  WRSN_OBS_ADD(kCsaCacheMisses, double(misses));
   return route.to_plan();
 }
 

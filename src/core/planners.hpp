@@ -18,12 +18,11 @@
 // suffix array in core/route_state.hpp (so best_insertion is O(route)), all
 // travel times come from the instance's TravelMatrix, whose rows fill on
 // demand (no sqrt in the inner loops), and the greedy fill is lazy,
-// CELF-style: each remaining stop caches its best (position, delta) stamped
-// with the route version and a round stops rescoring once the remaining
-// utilities (an upper bound on the cost-benefit score) drop below the
-// incumbent.  Plans are bit-identical
-// to the retained naive implementation (core/reference_planner.hpp), which
-// the plan-equivalence property test enforces on every run.
+// CELF-style: a round stops rescoring once the remaining utilities (an
+// upper bound on the cost-benefit score) drop below the incumbent.  Plans
+// are bit-identical to the retained naive implementation
+// (core/reference_planner.hpp), which the plan-equivalence property test
+// enforces on every run.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +62,9 @@ class Planner {
 /// The paper's algorithm (EDF key skeleton + cost-benefit greedy filling).
 class CsaPlanner final : public Planner {
  public:
-  /// Flushes the accumulated planning tallies (insertions tried, candidate
-  /// cache hits/misses) to the installed obs registry in one shot — plan()
-  /// runs every replan, too often for registry writes per call.
+  /// Flushes the accumulated insertions-tried tally to the installed obs
+  /// registry in one shot — plan() runs every replan, too often for
+  /// registry writes per call.
   ~CsaPlanner() override;
   std::string_view name() const override { return "CSA"; }
   Plan plan(const TideInstance& instance, Rng& rng) const override;
@@ -82,8 +81,6 @@ class CsaPlanner final : public Planner {
   mutable std::vector<std::size_t> keys_;
   mutable CelfFill fill_;
   mutable std::uint64_t insertions_tried_ = 0;
-  mutable std::uint64_t cache_hits_ = 0;
-  mutable std::uint64_t cache_misses_ = 0;
 };
 
 /// Nearest-stop-next attacker: always heads to the closest not-yet-expired

@@ -33,7 +33,6 @@
 // row-fill check, and a candidate never costs a row of its own.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -51,8 +50,7 @@ class RouteState {
   explicit RouteState(const TideInstance& instance);
 
   /// Rebinds to `instance` and resets to the empty route, KEEPING the
-  /// existing array capacity — the zero-alloc replan path.  The version
-  /// counter keeps counting (it only ever needs to differ between commits).
+  /// existing array capacity — the zero-alloc replan path.
   void bind(const TideInstance& instance);
   /// Grows every internal array's capacity to hold a route of `stops` stops
   /// so later inserts cannot reallocate.
@@ -62,9 +60,6 @@ class RouteState {
   Seconds completion() const {
     return depart_.empty() ? inst_->start_time : depart_.back();
   }
-  /// Bumped on every committed insertion; lets callers cache per-stop
-  /// best-insertion results and detect staleness (the lazy greedy fill).
-  std::uint64_t version() const { return version_; }
 
   /// Completion-time increase if `stop` were inserted at `pos`;
   /// nullopt when any window (the stop's or a downstream one) would break.
@@ -75,18 +70,6 @@ class RouteState {
   /// (ties: smallest position).  O(route).
   std::optional<std::pair<std::size_t, Seconds>> best_insertion(
       std::size_t stop) const;
-
-  /// Read-only views of the maintained schedule arrays, for the batched
-  /// position-major candidate rescore in core/celf_fill.cpp: arrivals /
-  /// starts / departures are per current position (size order().size()),
-  /// slacks / waitsums are the suffix arrays described above (one longer).
-  /// The batch pass evaluates try_insert's exact arithmetic against these,
-  /// so its results are bit-identical to best_insertion.
-  const std::vector<Seconds>& arrivals() const { return arrival_; }
-  const std::vector<Seconds>& departures() const { return depart_; }
-  const std::vector<Seconds>& slacks() const { return slack_; }
-  const std::vector<Seconds>& waitsums() const { return waitsum_; }
-  Seconds start_time() const { return inst_->start_time; }
 
   void insert(std::size_t stop, std::size_t pos);
 
@@ -111,7 +94,6 @@ class RouteState {
   std::vector<Seconds> slack_;
   /// Suffix sums of waiting time; size order_.size() + 1, last entry 0.
   std::vector<Seconds> waitsum_;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace wrsn::csa

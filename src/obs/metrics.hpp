@@ -64,8 +64,6 @@ enum class Metric : std::uint16_t {
   // CSA planner (src/core/planners.cpp, src/core/orchestrator.cpp).
   kCsaReplans,
   kCsaInsertionsTried,
-  kCsaCacheHits,
-  kCsaCacheMisses,
   kCsaPlanNs,  ///< timing histogram: one CSA plan() call
   // Mobile charger energy ledger (src/mc/charger.cpp, src/mc/vehicle.cpp).
   kMcSessions,
@@ -178,8 +176,6 @@ inline constexpr std::array<MetricDef, kMetricCount> kDefTable{{
     counter("net.topology_attempts"),
     counter("csa.replans"),
     counter("csa.insertions_tried"),
-    counter("csa.cache_hits"),
-    counter("csa.cache_misses"),
     timing_ns("csa.plan_ns"),
     counter("mc.sessions"),
     counter("mc.sessions_spoofed"),

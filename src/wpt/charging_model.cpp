@@ -37,26 +37,6 @@ Watts ChargingModel::dc_at_distance(Meters d) const {
   return rectifier_.dc_output(rf_at_distance(d));
 }
 
-void ChargingModel::dc_at_distances(std::span<const Meters> d,
-                                    std::span<Watts> out_dc) const {
-  const std::size_t n = d.size();
-  WRSN_REQUIRE(out_dc.size() == n, "batch span size mismatch");
-  Meters lo = 0.0;
-  for (std::size_t i = 0; i < n; ++i) lo = std::min(lo, d[i]);
-  WRSN_REQUIRE(lo >= 0.0, "negative distance");
-  const Watts source_power = params_.source_power;
-  const Meters beta = params_.beta;
-  const Meters max_range = params_.max_range;
-  const Watts a = alpha();
-  for (std::size_t i = 0; i < n; ++i) {
-    // rf_at_distance, expression for expression (branch-free).
-    const double denom = (d[i] + beta) * (d[i] + beta);
-    const Watts clamped = std::min(source_power, a / denom);
-    out_dc[i] = d[i] > max_range ? 0.0 : clamped;
-  }
-  rectifier_.harvest_batch(out_dc, out_dc);
-}
-
 Watts ChargingModel::docked_dc_power() const {
   return dc_at_distance(params_.dock_distance);
 }

@@ -53,13 +53,6 @@ class ChargingModel {
   /// Harvested DC power at distance `d` (RF chained through the rectifier).
   Watts dc_at_distance(Meters d) const;
 
-  /// Batched charging chain: out_dc[i] == dc_at_distance(d[i]) bit for bit
-  /// (same-size spans; in-place d == out_dc is allowed).  One pass applies
-  /// the decay law into out_dc, then the rectifier's batched transfer curve
-  /// rewrites it in place; no allocation.
-  void dc_at_distances(std::span<const Meters> d,
-                       std::span<Watts> out_dc) const;
-
   /// Harvested DC power at the docking distance — the nominal service rate
   /// a node expects during a charging session.
   Watts docked_dc_power() const;

@@ -31,27 +31,4 @@ Watts Rectifier::dc_output(Watts rf_in) const {
   return std::min(params_.dc_cap, efficiency(rf_in) * rf_in);
 }
 
-void Rectifier::harvest_batch(std::span<const Watts> rf_in,
-                              std::span<Watts> dc_out) const {
-  const std::size_t n = rf_in.size();
-  WRSN_REQUIRE(dc_out.size() == n, "batch span size mismatch");
-  Watts lo = 0.0;
-  for (std::size_t i = 0; i < n; ++i) lo = std::min(lo, rf_in[i]);
-  WRSN_REQUIRE(lo >= 0.0, "negative RF input");
-
-  const Watts sensitivity = params_.sensitivity;
-  const double max_efficiency = params_.max_efficiency;
-  const Watts knee = params_.knee;
-  const Watts dc_cap = params_.dc_cap;
-  for (std::size_t i = 0; i < n; ++i) {
-    // efficiency() then dc_output(), expression for expression.
-    const Watts rf = rf_in[i];
-    const double eff =
-        rf < sensitivity
-            ? 0.0
-            : max_efficiency * (1.0 - std::exp(-(rf - sensitivity) / knee));
-    dc_out[i] = std::min(dc_cap, eff * rf);
-  }
-}
-
 }  // namespace wrsn::wpt

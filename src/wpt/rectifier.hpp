@@ -7,8 +7,6 @@
 // target, lands below the threshold and harvests exactly zero DC.
 #pragma once
 
-#include <span>
-
 #include "common/units.hpp"
 
 namespace wrsn::wpt {
@@ -45,13 +43,6 @@ class Rectifier {
 
   /// Harvested DC power for the given RF input power.
   Watts dc_output(Watts rf_in) const;
-
-  /// Batched transfer curve: dc_out[i] == dc_output(rf_in[i]) bit for bit
-  /// (same-size spans; in-place rf_in == dc_out is allowed).  Inputs are
-  /// validated in one pass up front so the transfer loop stays branch-free
-  /// with the curve constants hoisted; no allocation.
-  void harvest_batch(std::span<const Watts> rf_in,
-                     std::span<Watts> dc_out) const;
 
   const RectifierParams& params() const { return params_; }
 

@@ -147,12 +147,4 @@ Watts SpoofingEmitter::rf_at_probe(const SpoofOutcome& outcome,
   return superposed_rf_power(outcome.sources, probe);
 }
 
-void SpoofingEmitter::rf_at_probes(const SpoofOutcome& outcome,
-                                   std::span<const Meters> xs,
-                                   std::span<const Meters> ys,
-                                   std::span<Watts> out_rf,
-                                   std::span<double> scratch_im) const {
-  superposed_rf_power_batch(outcome.sources, xs, ys, out_rf, scratch_im);
-}
-
 }  // namespace wrsn::wpt

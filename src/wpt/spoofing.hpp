@@ -14,7 +14,6 @@
 
 #include <array>
 #include <optional>
-#include <span>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -78,17 +77,10 @@ class SpoofingEmitter {
                                  Watts desired_dc, Rng* rng = nullptr,
                                  const geom::Vec2* keep_lit = nullptr) const;
 
-  /// RF power observed at an arbitrary probe point for a configured pair.
-  /// Used by detectors and by the testbed bench to show the field is only
-  /// nulled at the rectenna, not in the neighbourhood.
+  /// RF power observed at an arbitrary probe point for a configured pair:
+  /// the field is only nulled at the rectenna, not in the neighbourhood.
+  /// CsaStrategy reads the comm-antenna RSSI and the witness probe with it.
   Watts rf_at_probe(const SpoofOutcome& outcome, geom::Vec2 probe) const;
-
-  /// Batched probe sweep over flat coordinate arrays, bit-identical to
-  /// rf_at_probe per point (see superposed_rf_power_batch for the span
-  /// contract) — one pass for field maps and multi-witness RSSI checks.
-  void rf_at_probes(const SpoofOutcome& outcome, std::span<const Meters> xs,
-                    std::span<const Meters> ys, std::span<Watts> out_rf,
-                    std::span<double> scratch_im) const;
 
   const SpoofingParams& params() const { return params_; }
 

@@ -37,49 +37,6 @@ Watts incoherent_rf_power(std::span<const WaveSource> sources,
   return total;
 }
 
-void superposed_rf_power_batch(std::span<const WaveSource> sources,
-                               std::span<const Meters> xs,
-                               std::span<const Meters> ys,
-                               std::span<Watts> out_rf,
-                               std::span<double> scratch_im) {
-  const std::size_t n = xs.size();
-  WRSN_REQUIRE(ys.size() == n && out_rf.size() == n && scratch_im.size() == n,
-               "batch span size mismatch");
-  double* const re = out_rf.data();
-  double* const im = scratch_im.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    re[i] = 0.0;
-    im[i] = 0.0;
-  }
-  for (const WaveSource& s : sources) {
-    WRSN_REQUIRE(s.wavelength > 0.0, "wavelength must be positive");
-    const Meters sx = s.position.x;
-    const Meters sy = s.position.y;
-    const Watts alpha = s.alpha;
-    const Meters beta = s.beta;
-    const Meters max_range = s.max_range;
-    const Radians phase_offset = s.phase_offset;
-    const Meters lambda = s.wavelength;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Expression-for-expression phasor_at: hypot distance (as
-      // geom::distance), the decay law with its max_range zero, and the
-      // carrier phase retarded by the propagation phase (kTwoPi * d /
-      // lambda, same association).  The scalar path sums a zero phasor for
-      // a powerless source; skipping instead can only differ in the sign
-      // of a zero accumulator, which the final squaring erases.
-      const Meters d = std::hypot(sx - xs[i], sy - ys[i]);
-      const double denom = (d + beta) * (d + beta);
-      const Watts p = d > max_range ? 0.0 : alpha / denom;
-      if (p <= 0.0) continue;
-      const double amp = std::sqrt(p);
-      const Radians phase = phase_offset - constants::kTwoPi * d / lambda;
-      re[i] += amp * std::cos(phase);
-      im[i] += amp * std::sin(phase);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) re[i] = re[i] * re[i] + im[i] * im[i];
-}
-
 Radians propagation_phase(Meters d, Meters lambda) {
   WRSN_REQUIRE(lambda > 0.0, "wavelength must be positive");
   return constants::kTwoPi * d / lambda;

@@ -50,22 +50,6 @@ Watts superposed_rf_power(std::span<const WaveSource> sources, geom::Vec2 point)
 /// Provided to quantify the superposition effect against the naive model.
 Watts incoherent_rf_power(std::span<const WaveSource> sources, geom::Vec2 point);
 
-/// Batched superposition over flat receiver coordinate arrays:
-/// out_rf[i] == superposed_rf_power(sources, {xs[i], ys[i]}) bit for bit.
-///
-/// Data-oriented evaluation for many receivers at once (field maps, per-node
-/// exposure sweeps): the loop runs source-major with the per-source constants
-/// (position, decay law, carrier) hoisted once, accumulating the field into
-/// `out_rf` (real part) and `scratch_im` (imaginary part) with no per-point
-/// WaveSource or std::complex temporaries, then squares the magnitude in one
-/// final pass.  All spans must have the same length; `scratch_im` is caller
-/// scratch so steady-state callers allocate nothing.
-void superposed_rf_power_batch(std::span<const WaveSource> sources,
-                               std::span<const Meters> xs,
-                               std::span<const Meters> ys,
-                               std::span<Watts> out_rf,
-                               std::span<double> scratch_im);
-
 /// Phase accumulated by a wave of wavelength `lambda` over distance `d`.
 Radians propagation_phase(Meters d, Meters lambda);
 

@@ -10,8 +10,7 @@
 // reschedule storm, escalations and interceptor-deferred reports.
 //
 // The same guarantee is pinned for the planners (CsaPlanner::plan_into and
-// the fleet replan run on arenas reused across calls) and for the batched
-// wpt kernels (pure array passes over caller storage).  The counter also
+// the fleet replan run on arenas reused across calls).  The counter also
 // sums the bytes requested, which bounds what a large plan's travel matrix
 // holds.
 #include <gtest/gtest.h>
@@ -32,8 +31,6 @@
 #include "sim/simulator.hpp"
 #include "sim/world.hpp"
 #include "svc/service.hpp"
-#include "wpt/charging_model.hpp"
-#include "wpt/wave.hpp"
 
 namespace {
 
@@ -371,36 +368,6 @@ TEST(PlannerAllocation, LargePlanMatrixBytesScaleWithRowsFilled) {
   const std::size_t row_bytes = kStops * sizeof(Seconds);
   EXPECT_LE(g_bytes, (rows + 1) * row_bytes + 4 * row_bytes)
       << rows << " rows filled";
-}
-
-TEST(WptAllocation, BatchKernelsDoNotAllocate) {
-  const wpt::ChargingModel model;
-  Rng gen(9);
-  std::vector<wpt::WaveSource> sources;
-  for (int s = 0; s < 4; ++s) {
-    wpt::WaveSource src =
-        model.as_wave_source({gen.uniform(-3.0, 3.0), gen.uniform(-3.0, 3.0)},
-                             gen.uniform(0.0, constants::kTwoPi));
-    sources.push_back(src);
-  }
-  constexpr std::size_t kPoints = 512;
-  std::vector<Meters> xs(kPoints), ys(kPoints), dist(kPoints);
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    xs[i] = gen.uniform(-12.0, 12.0);  // some beyond max_range
-    ys[i] = gen.uniform(-12.0, 12.0);
-    dist[i] = gen.uniform(0.0, 12.0);
-  }
-  std::vector<Watts> rf(kPoints), dc(kPoints);
-  std::vector<double> im(kPoints);
-
-  g_allocations = 0;
-  g_counting = true;
-  wpt::superposed_rf_power_batch(sources, xs, ys, rf, im);
-  model.rectifier().harvest_batch(rf, dc);
-  model.dc_at_distances(dist, dc);
-  g_counting = false;
-
-  EXPECT_EQ(g_allocations, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 // These are the physical claims behind the paper's Fig. 2/3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -38,10 +39,17 @@ TEST(Wave, SingleSourceReducesToDecayLaw) {
 }
 
 TEST(Wave, BeyondMaxRangeIsZero) {
-  WaveSource s = make_source({0.0, 0.0});
+  WaveSource s = make_source({0.0, 0.0}, 3.0);
   s.max_range = 2.0;
   EXPECT_DOUBLE_EQ(s.power_at_distance(2.5), 0.0);
-  EXPECT_DOUBLE_EQ(superposed_rf_power({&s, 1}, {3.0, 0.0}), 0.0);
+  for (const Vec2 p : {Vec2{3.0, 0.0}, Vec2{-4.0, 3.0}, Vec2{10.0, -10.0}}) {
+    EXPECT_EQ(superposed_rf_power({&s, 1}, p), 0.0);
+    EXPECT_EQ(incoherent_rf_power({&s, 1}, p), 0.0);
+  }
+  // Beyond one source's range only the other contributes.
+  const WaveSource pair[] = {s, make_source({0.5, 0.0}, 3.0, constants::kPi)};
+  EXPECT_DOUBLE_EQ(superposed_rf_power(pair, {10.0, 0.0}),
+                   pair[1].power_at_distance(9.5));
 }
 
 TEST(Wave, NegativeDistanceThrows) {
@@ -108,6 +116,25 @@ TEST(Rectifier, ZeroBelowSensitivity) {
   EXPECT_DOUBLE_EQ(rect.efficiency(0.99e-3), 0.0);
 }
 
+TEST(Rectifier, SensitivityEdgeToTheUlp) {
+  const Rectifier rect;
+  const RectifierParams& p = rect.params();
+  const Watts below = std::nextafter(p.sensitivity, 0.0);
+  const Watts above = std::nextafter(p.sensitivity, 1.0);
+  EXPECT_EQ(rect.efficiency(below), 0.0);
+  EXPECT_EQ(rect.dc_output(below), 0.0);
+  EXPECT_EQ(rect.efficiency(p.sensitivity), 0.0);  // zero excess
+  EXPECT_EQ(rect.dc_output(p.sensitivity), 0.0);
+  // From the threshold up the saturating curve applies, to the bit.
+  for (const Watts rf : {above, 2e-3, p.knee, 0.5, 5.0, 100.0}) {
+    const double eff = p.max_efficiency *
+                       (1.0 - std::exp(-(rf - p.sensitivity) / p.knee));
+    EXPECT_EQ(rect.efficiency(rf), eff) << "rf = " << rf;
+    EXPECT_EQ(rect.dc_output(rf), std::min(p.dc_cap, eff * rf))
+        << "rf = " << rf;
+  }
+}
+
 TEST(Rectifier, SaturatesTowardMaxEfficiency) {
   Rectifier rect;
   EXPECT_NEAR(rect.efficiency(10.0), rect.params().max_efficiency, 1e-3);
@@ -154,6 +181,13 @@ TEST(Rectifier, NegativeInputThrows) {
   EXPECT_THROW(rect.dc_output(-0.1), PreconditionError);
 }
 
+TEST(Rectifier, NanInputThrows) {
+  const Rectifier rect;
+  const Watts nan = std::numeric_limits<Watts>::quiet_NaN();
+  EXPECT_THROW(rect.dc_output(nan), PreconditionError);
+  EXPECT_THROW(rect.efficiency(nan), PreconditionError);
+}
+
 TEST(ChargingModel, RfDecaysWithDistance) {
   ChargingModel model;
   double prev = model.rf_at_distance(0.0);
@@ -174,8 +208,25 @@ TEST(ChargingModel, RfClampedToSourcePower) {
 
 TEST(ChargingModel, ZeroBeyondMaxRange) {
   ChargingModel model;
-  EXPECT_DOUBLE_EQ(model.rf_at_distance(model.params().max_range + 0.1), 0.0);
-  EXPECT_DOUBLE_EQ(model.dc_at_distance(model.params().max_range + 0.1), 0.0);
+  const Meters range = model.params().max_range;
+  EXPECT_DOUBLE_EQ(model.rf_at_distance(range + 0.1), 0.0);
+  EXPECT_DOUBLE_EQ(model.dc_at_distance(range + 0.1), 0.0);
+  // The range is inclusive: exactly at it the decay law still applies, and
+  // one ULP past it the power is zero.
+  const double denom = (range + model.params().beta) *
+                       (range + model.params().beta);
+  EXPECT_EQ(model.rf_at_distance(range), model.alpha() / denom);
+  EXPECT_GT(model.dc_at_distance(range), 0.0);
+  const Meters past = std::nextafter(range, 1e9);
+  EXPECT_EQ(model.rf_at_distance(past), 0.0);
+  EXPECT_EQ(model.dc_at_distance(past), 0.0);
+}
+
+TEST(ChargingModel, NanDistanceThrows) {
+  const ChargingModel model;
+  const Meters nan = std::numeric_limits<Meters>::quiet_NaN();
+  EXPECT_THROW(model.rf_at_distance(nan), PreconditionError);
+  EXPECT_THROW(model.dc_at_distance(nan), PreconditionError);
 }
 
 TEST(ChargingModel, DockedDcPositiveAndBelowRf) {
@@ -336,135 +387,6 @@ TEST_P(SpoofGeometry, CancelsAtAllBearings) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Bearings, SpoofGeometry, ::testing::Range(0, 12));
-
-// ---- Batched kernels: bit-identical to the scalar loops -------------------
-//
-// The batch kernels are data layout + loop-order changes only; every value
-// they produce must be EXACTLY the scalar result (EXPECT_EQ on doubles, not
-// a tolerance), or downstream equivalence suites would start drifting the
-// moment a caller switches to the batched path.
-
-TEST(WaveBatch, MatchesScalarOnRandomizedSources) {
-  Rng gen(20'240'801);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<WaveSource> sources;
-    const int source_count = 1 + static_cast<int>(gen.uniform(0.0, 5.0));
-    for (int s = 0; s < source_count; ++s) {
-      WaveSource src = make_source(
-          {gen.uniform(-8.0, 8.0), gen.uniform(-8.0, 8.0)},
-          gen.uniform(0.1, 4.0), gen.uniform(0.0, constants::kTwoPi));
-      src.max_range = gen.uniform(2.0, 12.0);  // some points land beyond it
-      src.wavelength = gen.uniform(0.05, 0.4);
-      sources.push_back(src);
-    }
-    constexpr std::size_t kPoints = 64;
-    std::vector<Meters> xs(kPoints), ys(kPoints);
-    for (std::size_t i = 0; i < kPoints; ++i) {
-      xs[i] = gen.uniform(-15.0, 15.0);
-      ys[i] = gen.uniform(-15.0, 15.0);
-    }
-    std::vector<Watts> batch(kPoints);
-    std::vector<double> im(kPoints);
-    superposed_rf_power_batch(sources, xs, ys, batch, im);
-    for (std::size_t i = 0; i < kPoints; ++i) {
-      EXPECT_EQ(batch[i], superposed_rf_power(sources, {xs[i], ys[i]}))
-          << "round " << round << " point " << i;
-    }
-  }
-}
-
-TEST(WaveBatch, AllPointsBeyondMaxRangeAreExactlyZero) {
-  WaveSource s = make_source({0.0, 0.0}, 3.0);
-  s.max_range = 2.0;
-  const Meters xs[] = {2.5, -4.0, 10.0};
-  const Meters ys[] = {0.0, 3.0, -10.0};
-  Watts out[3];
-  double im[3];
-  superposed_rf_power_batch({&s, 1}, xs, ys, out, im);
-  for (const Watts p : out) EXPECT_EQ(p, 0.0);
-}
-
-TEST(WaveBatch, SizeMismatchThrows) {
-  const WaveSource s = make_source({0.0, 0.0});
-  const Meters xs[2] = {1.0, 2.0};
-  const Meters ys[1] = {1.0};
-  Watts out[2];
-  double im[2];
-  EXPECT_THROW(
-      superposed_rf_power_batch({&s, 1}, xs, ys, {out, 2}, {im, 2}),
-      PreconditionError);
-}
-
-TEST(RectifierBatch, MatchesScalarAcrossSensitivityEdges) {
-  const Rectifier rect;
-  const Watts sens = rect.params().sensitivity;
-  // Exact threshold, one ULP around it, zero, knee region, and cap region.
-  std::vector<Watts> rf = {0.0,
-                           std::nextafter(sens, 0.0),
-                           sens,
-                           std::nextafter(sens, 1.0),
-                           0.5e-3,
-                           2e-3,
-                           rect.params().knee,
-                           0.5,
-                           5.0,
-                           100.0};
-  Rng gen(77);
-  for (int i = 0; i < 50; ++i) rf.push_back(gen.uniform(0.0, 20.0));
-  std::vector<Watts> dc(rf.size());
-  rect.harvest_batch(rf, dc);
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    EXPECT_EQ(dc[i], rect.dc_output(rf[i])) << "rf = " << rf[i];
-  }
-}
-
-TEST(RectifierBatch, InPlaceAndValidation) {
-  const Rectifier rect;
-  std::vector<Watts> buf = {0.0, 1e-3, 0.1, 3.0};
-  std::vector<Watts> expected(buf.size());
-  rect.harvest_batch(buf, expected);
-  rect.harvest_batch(buf, buf);  // in-place is part of the contract
-  EXPECT_EQ(buf, expected);
-
-  std::vector<Watts> bad = {0.1, -0.2};
-  std::vector<Watts> out(2);
-  EXPECT_THROW(rect.harvest_batch(bad, out), PreconditionError);
-  EXPECT_THROW(rect.harvest_batch(bad, {out.data(), 1}), PreconditionError);
-}
-
-TEST(ChargingModelBatch, MatchesScalarChain) {
-  const ChargingModel model;
-  Rng gen(5);
-  std::vector<Meters> d = {0.0, model.params().dock_distance,
-                           model.params().max_range,
-                           std::nextafter(model.params().max_range, 1e9),
-                           model.params().max_range + 3.0};
-  for (int i = 0; i < 40; ++i) d.push_back(gen.uniform(0.0, 12.0));
-  std::vector<Watts> dc(d.size());
-  model.dc_at_distances(d, dc);
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_EQ(dc[i], model.dc_at_distance(d[i])) << "d = " << d[i];
-  }
-}
-
-TEST(SpoofingBatch, ProbeSweepMatchesScalarProbes) {
-  const ChargingModel model;
-  const SpoofingEmitter emitter(model, SpoofingParams{});
-  const SpoofOutcome out = emitter.configure({-1.0, 0.5}, {0.3, -0.2});
-  Rng gen(3);
-  constexpr std::size_t kPoints = 32;
-  std::vector<Meters> xs(kPoints), ys(kPoints);
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    xs[i] = gen.uniform(-2.0, 2.0);
-    ys[i] = gen.uniform(-2.0, 2.0);
-  }
-  std::vector<Watts> rf(kPoints);
-  std::vector<double> im(kPoints);
-  emitter.rf_at_probes(out, xs, ys, rf, im);
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    EXPECT_EQ(rf[i], emitter.rf_at_probe(out, {xs[i], ys[i]}));
-  }
-}
 
 }  // namespace
 }  // namespace wrsn::wpt

@@ -16,6 +16,7 @@
 #include "common/bitset.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "core/celf_fill.hpp"
 #include "core/exact.hpp"
 #include "core/orchestrator.hpp"
 #include "core/planners.hpp"
@@ -24,6 +25,7 @@
 #include "core/route_state.hpp"
 #include "core/tide.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 
 namespace wrsn::csa {
 namespace {
@@ -492,6 +494,40 @@ TEST(CsaPlanner, FillTieBreakPrefersSmallestStopIndex) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(plan.visits[i].stop_index, ref.visits[i].stop_index);
   }
+}
+
+// The fill's reachability prefilter drops a stop the charger cannot reach
+// in time even straight from the start, so no round ever scores it.  Plans
+// cannot show the prefilter (such a stop is never inserted), but the
+// insertions-tried tally can.
+TEST(CsaPlanner, UnreachableStopIsNeverScored) {
+  TideInstance inst = simple_instance();  // speed 1
+  inst.stops.push_back(make_stop({100, 0}, 1000.0, 1100.0, 10.0, 0.0, true));
+  inst.stops.push_back(make_stop({40, 0}, 0.0, 2000.0, 5.0, 6.0, false));
+  inst.stops.push_back(make_stop({-30, 0}, 0.0, 2000.0, 5.0, 4.0, false));
+  // 500 m away but closing at t = 50: unreachable, and the best utility, so
+  // without the prefilter every round would score it before any cutoff.
+  inst.stops.push_back(make_stop({500, 0}, 0.0, 50.0, 5.0, 9.0, false));
+
+  CelfFill fill;
+  fill.clear(inst.stops.size());
+  EXPECT_TRUE(fill.add(inst, 1));
+  EXPECT_TRUE(fill.add(inst, 2));
+  EXPECT_FALSE(fill.add(inst, 3));
+  EXPECT_EQ(fill.candidates().size(), 2u);
+
+  obs::MetricRegistry registry;
+  {
+    const obs::ScopedRegistry scope(&registry);
+    const CsaPlanner planner;
+    Rng rng(1);
+    const Plan plan = planner.plan(inst, rng);
+    ASSERT_EQ(plan.visits.size(), 3u);
+  }
+  // One key placement, then one scan in each of the two fill rounds that
+  // insert (the CELF cutoff ends the first after stop 1).  Scoring stop 3
+  // too would add one scan to each of three rounds.
+  EXPECT_EQ(registry.value(obs::Metric::kCsaInsertionsTried), 3.0);
 }
 
 // Satellite bugfix: GreedyNearest used a bare `>` on window_close while the

@@ -4,10 +4,11 @@
 // (core/fleet_reference.hpp) on every instance — same per-charger visit
 // sequences, bit-equal utilities and completion times, same orphan pool and
 // auction outcomes.  Mirrors the single-charger PlanEquivalence discipline
-// (tests/property_test.cpp): 3 instance families x 40 seeds = 120 randomized
-// instances, including permanent-charger-loss handoff shapes (dead chargers
-// whose would-be stops re-enter the auction) and clustered instances whose
-// empty cells force the utility spill auction.
+// (tests/property_test.cpp): 4 instance families x 40 seeds = 160 instances,
+// including permanent-charger-loss handoff shapes (dead chargers whose
+// would-be stops re-enter the auction), clustered instances whose empty
+// cells force the utility spill auction, and an exact-arithmetic grid whose
+// scores tie.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,6 +115,31 @@ TEST_P(FleetPlanEquivalence, CooperativePlannerMatchesNaiveReference) {
       s.window_close = s.window_open + gen.uniform(5.0, 120.0);
     }
     expect_fleet_plans_identical(inst, "clustered-empty-cell");
+  }
+  {  // Exact integer arithmetic: each charger sits mid-way along its own
+     // symmetric collinear grid of equal-utility stops, so mirrored stops
+     // tie EXACTLY on insertion delta and score and the fill's
+     // smallest-stop tie-break decides every such pick.
+    Rng gen(seed * 59 + 1);
+    FleetInstance inst;
+    inst.chargers.push_back({{0.0, 0.0}, 0.0, 1.0, /*alive=*/true});
+    inst.chargers.push_back({{1000.0, 0.0}, 0.0, 1.0, /*alive=*/true});
+    const int per_charger = 3 + static_cast<int>(gen.uniform(0.0, 6.0));
+    for (int i = 0; i < 2 * per_charger; ++i) {
+      const int local = i % per_charger;
+      const double origin = i < per_charger ? 0.0 : 1000.0;
+      const double side = (local % 2 == 0) ? 1.0 : -1.0;
+      Stop s;
+      s.node = static_cast<net::NodeId>(i);
+      s.position = {origin + side * 10.0 * (1 + local / 2), 0.0};
+      s.window_open = static_cast<double>(20 * (local % 3));
+      s.window_close = s.window_open + 400.0;
+      s.service_time = 5.0;
+      s.is_key = local == 0;
+      s.utility = s.is_key ? 0.0 : 4.0;  // equal utilities => exact ties
+      inst.stops.push_back(s);
+    }
+    expect_fleet_plans_identical(inst, "integer-grid");
   }
 }
 

@@ -32,9 +32,19 @@ namespace wrsn::analysis {
 std::map<std::string, std::string> parse_ini(std::istream& in);
 
 /// Applies `entries` on top of `base` (unset keys keep base values).
-/// Throws ConfigError on unknown keys or unparsable values.
+/// Throws ConfigError on unknown keys or unparsable values.  Each entry is
+/// looked up once in an index over the field list, so the cost grows with
+/// the keys given, not with the keys accepted.
 ScenarioConfig apply_config(const ScenarioConfig& base,
                             const std::map<std::string, std::string>& entries);
+
+/// As above, leaving out the entry at `skip` (`entries.end()` leaves out
+/// none): a caller whose map also holds a key of its own, like the fuzzer's
+/// `mode`, applies the rest without copying the map.
+ScenarioConfig apply_config(
+    const ScenarioConfig& base,
+    const std::map<std::string, std::string>& entries,
+    std::map<std::string, std::string>::const_iterator skip);
 
 /// Convenience: parse + apply over default_scenario().
 ScenarioConfig load_config(std::istream& in);

@@ -1,6 +1,8 @@
 #include "net/keynodes.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
 
 #include "common/check.hpp"
@@ -27,51 +29,58 @@ struct CutSurvey {
 CutSurvey survey_cuts(const Network& network, const Bitmap& alive) {
   WRSN_REQUIRE(alive.empty() || alive.size() == network.size(),
                "alive mask size mismatch");
-  const std::size_t sink = network.size();
-  const std::size_t n = sink + 1;
-  const auto present = [&](std::size_t v) {
-    return v == sink || alive_or_all(alive, static_cast<NodeId>(v));
+  // Vertices, DFS times and subtree sizes are 32-bit: the frame stack is
+  // the survey's largest buffer, and at N = 10k its growth sets a mission's
+  // heap peak.
+  WRSN_REQUIRE(network.size() < std::numeric_limits<std::uint32_t>::max(),
+               "network too large for the cut survey");
+  const auto sink = static_cast<std::uint32_t>(network.size());
+  const std::uint32_t n = sink + 1;
+  const auto present = [&](std::uint32_t v) {
+    return v == sink || alive_or_all(alive, v);
   };
   CutSurvey out{std::vector<bool>(n, false), std::vector<std::size_t>(n, 0)};
-  std::vector<std::size_t> disc(n, 0);  // 0 = unvisited; times start at 1
-  std::vector<std::size_t> low(n, 0);
-  std::vector<std::size_t> subtree(n, 0);
+  std::vector<std::uint32_t> disc(n, 0);  // 0 = unvisited; times start at 1
+  std::vector<std::uint32_t> low(n, 0);
+  std::vector<std::uint32_t> subtree(n, 0);
 
   // A frame walks its vertex's CSR row in place: a node's neighbour row,
   // then one extra slot for the sink when it is in range; the sink's row is
   // the sink-neighbour table.
   struct Frame {
-    std::size_t vertex;
-    std::size_t parent;  // n for a root
-    std::span<const NodeId> row;
-    std::size_t end;  // row.size(), +1 for a sink edge
-    std::size_t next = 0;
-    std::size_t children = 0;
+    const NodeId* row;
+    std::uint32_t row_size;
+    std::uint32_t vertex;
+    std::uint32_t parent;  // n for a root
+    std::uint32_t end;     // row_size, +1 for a sink edge
+    std::uint32_t next = 0;
+    std::uint32_t children = 0;
   };
   std::vector<Frame> stack;
-  std::size_t timer = 0;
-  const auto search = [&](std::size_t root) {
+  std::uint32_t timer = 0;
+  const auto search = [&](std::uint32_t root) {
     const bool from_sink = root == sink;
-    const auto push = [&](std::size_t v, std::size_t parent) {
+    const auto push = [&](std::uint32_t v, std::uint32_t parent) {
       disc[v] = low[v] = ++timer;
       if (v == sink) {
         const auto row = network.sink_neighbors();
-        stack.push_back({v, parent, row, row.size()});
+        const auto size = static_cast<std::uint32_t>(row.size());
+        stack.push_back({row.data(), size, v, parent, size});
         return;
       }
       subtree[v] = 1;
-      const auto id = static_cast<NodeId>(v);
-      const auto row = network.neighbors(id);
-      stack.push_back(
-          {v, parent, row, row.size() + (network.sink_reachable(id) ? 1 : 0)});
+      const auto row = network.neighbors(v);
+      const auto size = static_cast<std::uint32_t>(row.size());
+      stack.push_back({row.data(), size, v, parent,
+                       size + (network.sink_reachable(v) ? 1u : 0u)});
     };
     push(root, n);
     while (!stack.empty()) {
       Frame& frame = stack.back();
-      const std::size_t v = frame.vertex;
+      const std::uint32_t v = frame.vertex;
       if (frame.next < frame.end) {
-        const std::size_t k = frame.next++;
-        const std::size_t u = k < frame.row.size() ? frame.row[k] : sink;
+        const std::uint32_t k = frame.next++;
+        const std::uint32_t u = k < frame.row_size ? frame.row[k] : sink;
         if (u == frame.parent || !present(u)) continue;
         if (disc[u] == 0) {
           ++frame.children;
@@ -82,13 +91,13 @@ CutSurvey survey_cuts(const Network& network, const Bitmap& alive) {
         continue;
       }
       // v finished: fold its low-link and subtree into the parent.
-      const std::size_t children = frame.children;
+      const std::uint32_t children = frame.children;
       stack.pop_back();
       if (stack.empty()) {
         if (children > 1) out.is_cut[v] = true;  // root with 2+ DFS children
         continue;
       }
-      const std::size_t p = stack.back().vertex;
+      const std::uint32_t p = stack.back().vertex;
       low[p] = std::min(low[p], low[v]);
       subtree[p] += subtree[v];
       if (low[v] >= disc[p] && stack.back().parent != n) {
@@ -99,7 +108,7 @@ CutSurvey survey_cuts(const Network& network, const Bitmap& alive) {
   };
 
   search(sink);
-  for (std::size_t v = 0; v < sink; ++v) {
+  for (std::uint32_t v = 0; v < sink; ++v) {
     if (present(v) && disc[v] == 0) search(v);
   }
   return out;

@@ -933,8 +933,16 @@ TEST(Protocol, ToMissionRequestResolvesReproLines) {
 
   wire.repro = "mode=attack;bogus.key=1";
   EXPECT_THROW(to_mission_request(wire), ConfigError);
+  // A bad mode is bad input like any other value, not a failed internal
+  // requirement.
   wire.repro = "mode=sideways;seed=1";
-  EXPECT_THROW(to_mission_request(wire), PreconditionError);
+  try {
+    (void)to_mission_request(wire);
+    ADD_FAILURE() << "mode=sideways resolved";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(),
+                 "config key 'mode': expected attack|benign, got 'sideways'");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1102,6 +1110,23 @@ TEST(MissionServer, TinyPolicyWindowIsInvalidPromptly) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
   EXPECT_EQ(json_client.call(3, quick_repro(49)).status, MissionStatus::kOk);
   EXPECT_EQ(binary_client.call(4, quick_repro(50)).status, MissionStatus::kOk);
+  server.stop();
+}
+
+TEST(MissionServer, BadModeIsInvalidAndServerKeepsServing) {
+  MissionService service(quick_options());
+  const std::string path = test_socket_path("bad-mode");
+  MissionServer server(service, path);
+  server.start();
+
+  MissionClient json_client(path, /*binary=*/false);
+  MissionClient binary_client(path, /*binary=*/true);
+  analysis::FuzzOverrides o = analysis::parse_repro(quick_repro(48));
+  o["mode"] = "foo";
+  const std::string repro = analysis::format_repro(o);
+  EXPECT_EQ(json_client.call(1, repro).status, MissionStatus::kInvalid);
+  EXPECT_EQ(binary_client.call(2, repro).status, MissionStatus::kInvalid);
+  EXPECT_EQ(json_client.call(3, quick_repro(48)).status, MissionStatus::kOk);
   server.stop();
 }
 

@@ -12,7 +12,9 @@
 // moving a row moves every cache key.  `apply_config` special-cases three
 // keys: `topology.region_size` sets the four region corners (code rows),
 // `seed` is not digested and so has no row, and `horizon` also sets
-// `attack.campaign_deadline`.
+// `attack.campaign_deadline`.  Keys must be unique and must not be
+// `topology.region_size` or `seed`: `apply_config`'s key index relies on
+// both.
 #pragma once
 
 #include <span>

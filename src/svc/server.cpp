@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -32,60 +33,14 @@ bool write_all(int fd, const void* data, std::size_t size) {
   return true;
 }
 
-bool read_exact(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // orderly EOF
-    p += n;
-    size -= std::size_t(n);
-  }
-  return true;
-}
-
-/// Reads until '\n' (exclusive), carrying leftovers across calls in `buffer`.
-/// Returns false on EOF/error before a full line arrives.
-bool read_line(int fd, std::string& buffer, std::string& line) {
-  while (true) {
-    if (const std::size_t nl = buffer.find('\n'); nl != std::string::npos) {
-      line.assign(buffer, 0, nl);
-      buffer.erase(0, nl + 1);
-      return true;
-    }
-    if (buffer.size() > kMaxFrameBytes) return false;
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    buffer.append(chunk, std::size_t(n));
-  }
-}
-
-bool write_frame(int fd, const std::string& payload) {
-  std::uint32_t size = std::uint32_t(payload.size());
-  char prefix[4];
-  for (int i = 0; i < 4; ++i) prefix[i] = char((size >> (8 * i)) & 0xff);
-  return write_all(fd, prefix, sizeof(prefix)) &&
-         write_all(fd, payload.data(), payload.size());
-}
-
-bool read_frame(int fd, std::string& payload) {
-  unsigned char prefix[4];
-  if (!read_exact(fd, prefix, sizeof(prefix))) return false;
-  const std::uint32_t size = std::uint32_t(prefix[0]) |
-                             std::uint32_t(prefix[1]) << 8 |
-                             std::uint32_t(prefix[2]) << 16 |
-                             std::uint32_t(prefix[3]) << 24;
-  if (size > kMaxFrameBytes) return false;
-  payload.resize(size);
-  return size == 0 || read_exact(fd, payload.data(), size);
+/// Sends one frame — size prefix and payload — in one send.  The prefix is
+/// written in front of `payload`, which the caller re-encodes before reuse.
+bool write_frame(int fd, std::string& payload) {
+  const std::uint32_t size = std::uint32_t(payload.size());
+  const char prefix[4] = {char(size & 0xff), char((size >> 8) & 0xff),
+                          char((size >> 16) & 0xff), char((size >> 24) & 0xff)};
+  payload.insert(0, prefix, sizeof(prefix));
+  return write_all(fd, payload.data(), payload.size());
 }
 
 int connect_unix(const std::string& path) {
@@ -124,6 +79,65 @@ WireResponse serve_request(MissionService& service, const WireRequest& wire) {
 
 }  // namespace
 
+bool StreamReader::fill() {
+  if (head_ > 0) {
+    buffer_.erase(0, head_);
+    head_ = 0;
+  }
+  char chunk[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      buffer_.append(chunk, std::size_t(n));
+      return true;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;  // orderly EOF or error
+  }
+}
+
+bool StreamReader::peek(std::size_t n, std::string_view& bytes) {
+  while (unread() < n) {
+    if (!fill()) return false;
+  }
+  bytes = std::string_view(buffer_).substr(head_, n);
+  return true;
+}
+
+bool StreamReader::next_line(std::string_view& line) {
+  std::size_t scanned = 0;  // unread bytes already searched for '\n'
+  while (true) {
+    const std::size_t nl = buffer_.find('\n', head_ + scanned);
+    if (nl != std::string::npos) {
+      line = std::string_view(buffer_).substr(head_, nl - head_);
+      head_ = nl + 1;
+      return true;
+    }
+    scanned = unread();
+    if (scanned > kMaxFrameBytes || !fill()) return false;
+  }
+}
+
+bool StreamReader::next_frame(std::string_view& payload) {
+  while (true) {
+    if (unread() >= 4) {
+      const auto* p = reinterpret_cast<const unsigned char*>(buffer_.data()) +
+                      head_;
+      const std::uint32_t size = std::uint32_t(p[0]) |
+                                 std::uint32_t(p[1]) << 8 |
+                                 std::uint32_t(p[2]) << 16 |
+                                 std::uint32_t(p[3]) << 24;
+      if (size > kMaxFrameBytes) return false;
+      if (unread() >= 4 + std::size_t(size)) {
+        payload = std::string_view(buffer_).substr(head_ + 4, size);
+        head_ += 4 + std::size_t(size);
+        return true;
+      }
+    }
+    if (!fill()) return false;
+  }
+}
+
 MissionServer::MissionServer(MissionService& service, std::string socket_path)
     : service_(service), socket_path_(std::move(socket_path)) {
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -154,19 +168,22 @@ void MissionServer::start() {
   WRSN_REQUIRE(listen_fd_ >= 0, "server already stopped");
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The loop gets the fd by value: stop() closes and clears listen_fd_ only
+  // after joining it.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
 void MissionServer::stop() {
   running_.store(false, std::memory_order_release);
   if (listen_fd_ >= 0) {
     // shutdown() wakes the blocked accept(); close() alone does not
-    // reliably on Linux.
+    // reliably on Linux.  The fd is closed only once the loop has exited,
+    // so accept() never sees a closed (or reused) fd number.
     ::shutdown(listen_fd_, SHUT_RDWR);
+    if (accept_thread_.joinable()) accept_thread_.join();
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_m_);
@@ -177,12 +194,12 @@ void MissionServer::stop() {
   ::unlink(socket_path_.c_str());
 }
 
-void MissionServer::accept_loop() {
+void MissionServer::accept_loop(int listen_fd) {
   while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed by stop()
+      break;  // listener shut down by stop()
     }
     connections_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(conn_m_);
@@ -192,45 +209,51 @@ void MissionServer::accept_loop() {
 }
 
 void MissionServer::serve_connection(int fd) {
-  // Mode detection: peek at the first byte.  '{' starts a JSON line; 'W'
-  // starts the "WRB1" magic.
-  char first = 0;
-  if (read_exact(fd, &first, 1)) {
-    if (first == '{') {
-      serve_json(fd, std::string(1, first));
-    } else if (first == kBinaryMagic[0]) {
-      char rest[3];
-      if (read_exact(fd, rest, sizeof(rest)) &&
-          std::string_view(rest, 3) == kBinaryMagic.substr(1)) {
-        serve_binary(fd);
-      }
+  // Mode detection: '{' starts a JSON line; 'W' starts the "WRB1" magic.
+  // Anything else is a garbage connection: just drop it.
+  StreamReader reader(fd);
+  std::string_view head;
+  if (reader.peek(1, head)) {
+    if (head[0] == '{') {
+      serve_json(fd, reader);
+    } else if (head[0] == kBinaryMagic[0] &&
+               reader.peek(kBinaryMagic.size(), head) && head == kBinaryMagic) {
+      reader.consume(kBinaryMagic.size());
+      serve_binary(fd, reader);
     }
-    // Anything else: garbage connection, just drop it.
+  }
+  {
+    // Out of conn_fds_ before close, so stop() never shuts down a reused
+    // fd number.
+    std::lock_guard<std::mutex> lock(conn_m_);
+    conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
   }
   ::close(fd);
 }
 
-void MissionServer::serve_json(int fd, std::string initial) {
-  std::string buffer = std::move(initial);
-  std::string line, error;
-  while (read_line(fd, buffer, line)) {
+void MissionServer::serve_json(int fd, StreamReader& reader) {
+  std::string_view line;
+  std::string error;
+  WireRequest wire;
+  while (reader.next_line(line)) {
     if (line.empty()) continue;
-    WireRequest wire;
     WireResponse reply;
     if (decode_request_json(line, wire, error)) {
       reply = serve_request(service_, wire);
     } else {
       reply.response.status = MissionStatus::kInvalid;
     }
-    const std::string out = encode_response_json(reply) + '\n';
+    std::string out = encode_response_json(reply);
+    out += '\n';
     if (!write_all(fd, out.data(), out.size())) break;
   }
 }
 
-void MissionServer::serve_binary(int fd) {
-  std::string payload, out, error;
-  while (read_frame(fd, payload)) {
-    WireRequest wire;
+void MissionServer::serve_binary(int fd, StreamReader& reader) {
+  std::string_view payload;
+  std::string out, error;
+  WireRequest wire;
+  while (reader.next_frame(payload)) {
     WireResponse reply;
     if (decode_request_frame(payload, wire, error)) {
       reply = serve_request(service_, wire);
@@ -243,7 +266,7 @@ void MissionServer::serve_binary(int fd) {
 }
 
 MissionClient::MissionClient(const std::string& socket_path, bool binary)
-    : fd_(connect_unix(socket_path)), binary_(binary) {
+    : fd_(connect_unix(socket_path)), binary_(binary), reader_(fd_) {
   if (binary_ &&
       !write_all(fd_, kBinaryMagic.data(), kBinaryMagic.size())) {
     ::close(fd_);
@@ -265,20 +288,20 @@ MissionResponse MissionClient::call(std::uint64_t tenant,
 
   WireResponse reply;
   std::string error;
+  std::string_view received;
   if (binary_) {
-    std::string payload;
-    encode_request_frame(wire, payload);
-    if (!write_frame(fd_, payload) || !read_frame(fd_, payload) ||
-        !decode_response_frame(payload, reply, error)) {
+    encode_request_frame(wire, send_buffer_);
+    if (!write_frame(fd_, send_buffer_) || !reader_.next_frame(received) ||
+        !decode_response_frame(received, reply, error)) {
       throw std::runtime_error("binary call failed: " +
                                (error.empty() ? "transport error" : error));
     }
   } else {
-    const std::string out = encode_request_json(wire) + '\n';
-    std::string line;
-    if (!write_all(fd_, out.data(), out.size()) ||
-        !read_line(fd_, line_buffer_, line) ||
-        !decode_response_json(line, reply, error)) {
+    send_buffer_ = encode_request_json(wire);
+    send_buffer_ += '\n';
+    if (!write_all(fd_, send_buffer_.data(), send_buffer_.size()) ||
+        !reader_.next_line(received) ||
+        !decode_response_json(received, reply, error)) {
       throw std::runtime_error("json call failed: " +
                                (error.empty() ? "transport error" : error));
     }

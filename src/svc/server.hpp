@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,33 @@
 #include "svc/service.hpp"
 
 namespace wrsn::svc {
+
+/// Buffered reads of one stream socket, for both framings.  One recv
+/// usually brings a whole line or frame; bytes past the current message stay
+/// buffered for the next call.  A returned view lives until the next call.
+class StreamReader {
+ public:
+  explicit StreamReader(int fd) : fd_(fd) {}
+
+  /// The first `n` unread bytes, received as needed but not consumed.
+  bool peek(std::size_t n, std::string_view& bytes);
+  void consume(std::size_t n) { head_ += n; }
+  /// The next line without its '\n'.  False on EOF or error first, or once
+  /// more than kMaxFrameBytes arrive without a newline.
+  bool next_line(std::string_view& line);
+  /// The next frame's payload (u32 LE size prefix, then payload).  False on
+  /// EOF or error first, or as soon as a prefix exceeds kMaxFrameBytes.
+  bool next_frame(std::string_view& payload);
+
+ private:
+  /// Drops the consumed bytes and appends one recv's worth.
+  bool fill();
+  std::size_t unread() const { return buffer_.size() - head_; }
+
+  int fd_;
+  std::string buffer_;
+  std::size_t head_ = 0;  ///< bytes of buffer_ already consumed
+};
 
 class MissionServer {
  public:
@@ -46,10 +74,10 @@ class MissionServer {
   }
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void serve_connection(int fd);
-  void serve_json(int fd, std::string initial);
-  void serve_binary(int fd);
+  void serve_json(int fd, StreamReader& reader);
+  void serve_binary(int fd, StreamReader& reader);
 
   MissionService& service_;
   std::string socket_path_;
@@ -60,7 +88,7 @@ class MissionServer {
 
   std::mutex conn_m_;  ///< guards conn_threads_ / conn_fds_
   std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::vector<int> conn_fds_;  ///< open connections; removed before close
 };
 
 /// Blocking single-connection client.  One in-flight call at a time; the
@@ -85,7 +113,8 @@ class MissionClient {
   int fd_ = -1;
   bool binary_ = false;
   std::uint64_t next_id_ = 1;
-  std::string line_buffer_;  ///< leftover bytes past the last newline
+  StreamReader reader_;
+  std::string send_buffer_;
 };
 
 }  // namespace wrsn::svc

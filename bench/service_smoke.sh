@@ -101,4 +101,12 @@ if ! cmp -s "$workdir/digests_1.uniq" "$workdir/digests_2.uniq" ||
   exit 1
 fi
 
+# One mode grammar: a local `--repro` replay rejects a bad mode with the
+# ConfigError text the service and scenario_fuzzer give.
+expected="error: config key 'mode': expected attack|benign, got 'foo'"
+if got="$("$cli" --repro 'mode=foo;seed=1' 2>&1)" || [[ "$got" != "$expected" ]]; then
+  echo "FAIL: --repro 'mode=foo;seed=1' printed: $got" >&2
+  exit 1
+fi
+
 echo "service smoke OK: digests bit-identical at WRSN_THREADS=1/2/8"

@@ -449,6 +449,11 @@ std::uint64_t digest_result(const ScenarioResult& result) {
 
 std::pair<ScenarioConfig, ChargerMode> resolve_overrides(
     const FuzzOverrides& overrides) {
+  return resolve_overrides(default_scenario(), overrides);
+}
+
+std::pair<ScenarioConfig, ChargerMode> resolve_overrides(
+    const ScenarioConfig& base, const FuzzOverrides& overrides) {
   ChargerMode mode = ChargerMode::Attack;
   const auto mode_entry = overrides.find("mode");
   if (mode_entry != overrides.end()) {
@@ -460,7 +465,7 @@ std::pair<ScenarioConfig, ChargerMode> resolve_overrides(
                         value + "'");
     }
   }
-  return {apply_config(default_scenario(), overrides, mode_entry), mode};
+  return {apply_config(base, overrides, mode_entry), mode};
 }
 
 csa::Plan BuggyPlanner::plan(const csa::TideInstance& instance,

@@ -99,9 +99,13 @@ std::uint64_t digest_result(const ScenarioResult& result);
 
 /// Splits a fuzz override set into the mission config and mode, exactly as
 /// run_fuzz_trial does: the pseudo-key "mode" (default attack) selects the
-/// service, everything else goes through apply_config over
-/// default_scenario().  Throws ConfigError on unknown keys or a bad mode.
-/// Run the result with run_mission for the standalone-equivalent mission.
+/// service, everything else goes through apply_config over `base`.  Throws
+/// ConfigError on unknown keys or a bad mode.  Run the result with
+/// run_mission for the standalone-equivalent mission.
+std::pair<ScenarioConfig, ChargerMode> resolve_overrides(
+    const ScenarioConfig& base, const FuzzOverrides& overrides);
+
+/// As above, over default_scenario().
 std::pair<ScenarioConfig, ChargerMode> resolve_overrides(
     const FuzzOverrides& overrides);
 

@@ -14,9 +14,11 @@
 //
 // The accepted keys are the keyed rows of analysis/config_fields.hpp plus
 // `topology.region_size` (a square region's side) and `seed`.  Unknown keys
-// throw (catching typos beats silently ignoring them).  Reals must be
-// finite; integers are plain decimal digits (no sign, fraction, exponent or
-// overflow); enums take the names listed beside the field list.
+// throw (catching typos beats silently ignoring them).  Reals are an
+// optional '-', digits, an optional fraction and exponent, finite and not
+// subnormal (no leading space, '+' or hex float); integers are plain decimal
+// digits (no sign, fraction, exponent or overflow); enums take the names
+// listed beside the field list.  Either must be the whole value.
 #pragma once
 
 #include <istream>

@@ -1,7 +1,6 @@
 #include "core/orchestrator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -76,16 +75,14 @@ void CsaStrategy::on_start(mc::Vehicle& vehicle) {
     if (key_targets_.size() >= target_cap) break;
     // Can only spoof nodes it services.
     if (!vehicle.in_territory(id)) continue;
-    Seconds request_at = world_.has_pending_request(id)
-                             ? world_.simulator().now()
-                             : world_.predicted_request(id);
-    if (!std::isfinite(request_at)) continue;
-    const Watts drain = world_.drain_rate(id);
-    if (drain <= 0.0) continue;
+    const Seconds request_at = world_.has_pending_request(id)
+                                   ? world_.simulator().now()
+                                   : world_.predicted_request(id);
     const Joules level_at_spoof = world_.params().request_threshold *
                                   world_.network().node(id).battery_capacity;
-    const Seconds kill_time = level_at_spoof / drain;
-    if (request_at + world_.params().patience + kill_time > deadline) {
+    if (!theory::killable_within(request_at, world_.params().patience,
+                                 level_at_spoof, world_.drain_rate(id),
+                                 deadline)) {
       continue;  // not exhaustible inside the campaign
     }
     key_targets_.push_back(id);
@@ -167,12 +164,11 @@ policy::SpoofDecision CsaStrategy::spoof_decision(net::NodeId id) {
   // request; if that redo cycle no longer fits inside the campaign, this is
   // the last chance and every policy takes the kill.
   const Joules capacity = world_.network().node(id).battery_capacity;
-  const Seconds redo_cycle =
-      (world_.params().charge_target_fraction -
-       world_.params().request_threshold) *
-      capacity / drain;
+  const Seconds redo_cycle = theory::request_cycle(
+      capacity, world_.params().charge_target_fraction,
+      world_.params().request_threshold, drain);
   const Seconds kill_time =
-      world_.params().request_threshold * capacity / drain;
+      theory::kill_time(world_.params().request_threshold * capacity, drain);
   query.last_chance = now + redo_cycle + kill_time >
                       params_.campaign_deadline * params_.campaign_slack;
   query.keys_killed = spoof_killed_.size();

@@ -1,10 +1,10 @@
-// Bounded LRU result cache, single-shard core.
+// Bounded LRU result cache.
 //
-// The mission service owns N shards, each pairing one `LruCore` with the
-// shard mutex that also guards the in-flight coalescing table — one lock
-// acquisition per request, and the completion path can publish to the cache
-// and retire the flight record atomically, so a request can never miss both
-// the cache and the flight table for a scenario that already executed.
+// The mission service owns one `LruCore` behind the same mutex that guards
+// its in-flight coalescing table — one lock acquisition per request, and the
+// completion path publishes to the cache and retires the flight record
+// atomically, so a request can never miss both the cache and the flight
+// table for a scenario that already executed.
 //
 // Storage is preallocated at init: a fixed slot vector, an intrusive
 // index-based LRU list (no node allocations, no pointers to chase), and a

@@ -14,10 +14,19 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // JSON: a flat object of string / integer / bool / double values is all the
-// protocol needs, so the codec is deliberately minimal (and strict: anything
-// else is a decode error, never a guess).  Encoding appends into one string;
-// decoding reads members as views over the line and converts only the
-// fields it knows.
+// protocol needs, so the codec is deliberately minimal.  Encoding appends
+// into one string; decoding reads members as views over the line and
+// converts only the fields it knows.
+//
+// The decoder is not strict.  ProtocolSpec (tests/svc_test.cpp) pins what it
+// accepts today, and that includes input a strict parser would refuse:
+//   * bytes after the closing '}' are ignored (`{"id":1,"repro":"a"} x`);
+//   * u64 fields go through strtoull, so `"-1"` reads as 2^64-1, `" 5"` and
+//     `"+5"` as 5, a bare `-3` as 2^64-3, and an overflowing id as 2^64-1;
+//   * u32 counters past 2^32 are truncated (`4294967297` reads as 1);
+//   * `"detected":1` is read as false (only `true` is true).
+// Rejecting these is open hostile-input work (ROADMAP item 6); until then
+// every row of the corpus and the mutation-campaign digest hold them.
 // ---------------------------------------------------------------------------
 
 // Response members in wire order, each as the text that opens it on the
@@ -602,7 +611,6 @@ MissionRequest to_mission_request(const WireRequest& wire) {
   MissionRequest request;
   request.config = std::move(config);
   request.mode = mode;
-  request.tenant = wire.tenant;
   return request;
 }
 

@@ -37,6 +37,8 @@ inline constexpr std::size_t kMaxFrameBytes = 1 << 20;
 
 struct WireRequest {
   std::uint64_t id = 0;
+  /// Client label.  Encoded, decoded and pinned like every other field, but
+  /// carried only: the service ignores it (to_mission_request drops it).
   std::uint64_t tenant = 0;
   /// Scenario overrides as a repro line (`k=v;k=v`, pseudo-key "mode").
   std::string repro;

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -184,13 +185,16 @@ void MissionServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  std::vector<std::thread> threads;
+  std::thread last;
   {
-    std::lock_guard<std::mutex> lock(conn_m_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(conn_threads_);
+    std::unique_lock<std::mutex> lock(conn_m_);
+    for (const Connection& conn : conns_) ::shutdown(conn.fd, SHUT_RDWR);
+    conn_closed_.wait(lock, [this] { return conns_.empty(); });
+    last = std::move(last_finished_);
   }
-  for (std::thread& t : threads) t.join();
+  // Joining the last thread to finish joins them all: each one joined its
+  // predecessor before it ended.
+  if (last.joinable()) last.join();
   ::unlink(socket_path_.c_str());
 }
 
@@ -203,8 +207,7 @@ void MissionServer::accept_loop(int listen_fd) {
     }
     connections_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(conn_m_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    conns_.push_back({fd, std::thread([this, fd] { serve_connection(fd); })});
   }
 }
 
@@ -222,13 +225,21 @@ void MissionServer::serve_connection(int fd) {
       serve_binary(fd, reader);
     }
   }
+  // Close and leave conns_ in one critical section, so stop() never shuts
+  // down a reused fd number.  This thread's handle becomes last_finished_,
+  // and it joins the thread that was there, outside the lock.
+  std::thread previous;
   {
-    // Out of conn_fds_ before close, so stop() never shuts down a reused
-    // fd number.
     std::lock_guard<std::mutex> lock(conn_m_);
-    conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+    ::close(fd);
+    const auto it =
+        std::find_if(conns_.begin(), conns_.end(),
+                     [fd](const Connection& conn) { return conn.fd == fd; });
+    previous = std::exchange(last_finished_, std::move(it->thread));
+    conns_.erase(it);
+    conn_closed_.notify_all();
   }
-  ::close(fd);
+  if (previous.joinable()) previous.join();
 }
 
 void MissionServer::serve_json(int fd, StreamReader& reader) {

@@ -2,16 +2,19 @@
 //
 // The server listens on an AF_UNIX stream socket and speaks the protocol of
 // svc/protocol.hpp (JSON lines or "WRB1" binary, per connection, detected
-// from the first byte).  Each connection gets a lightweight reader thread;
-// the mission work itself still runs on the service's shared pool — the
-// reader threads only block in submit(), so concurrency is governed by the
-// service's admission control, not by connection count.
+// from the first byte).  Each connection gets a lightweight reader thread
+// that ends, and is joined, once its connection closes; the mission work
+// itself still runs on the service's shared pool — the reader threads only
+// block in submit(), so concurrency is governed by the service's admission
+// control, not by connection count.
 //
-// stop() shuts the listener down and force-closes live connections; the
-// service drains separately (the server never owns the service).
+// stop() shuts the listener down, force-closes live connections and joins
+// every reader thread; the service drains separately (the server never owns
+// the service).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -86,9 +89,21 @@ class MissionServer {
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> connections_{0};
 
-  std::mutex conn_m_;  ///< guards conn_threads_ / conn_fds_
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;  ///< open connections; removed before close
+  struct Connection {
+    int fd;
+    std::thread thread;
+  };
+
+  std::mutex conn_m_;  ///< guards conns_ / last_finished_
+  /// Notified, under conn_m_, each time a connection closes.
+  std::condition_variable conn_closed_;
+  /// Open connections.  A connection's thread closes its fd and leaves this
+  /// list in one critical section, so stop() never shuts down a reused fd.
+  std::vector<Connection> conns_;
+  /// The thread of the connection that closed last.  Each closing
+  /// connection joins its predecessor's thread, so at most one finished
+  /// thread is ever unjoined; stop() joins it.
+  std::thread last_finished_;
 };
 
 /// Blocking single-connection client.  One in-flight call at a time; the

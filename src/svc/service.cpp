@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/fnv.hpp"
 #include "obs/metrics.hpp"
 #include "runner/runner.hpp"
 
@@ -25,33 +24,10 @@ MissionResponse rejection(MissionStatus status, const MissionKey& key) {
 }  // namespace
 
 MissionService::MissionService(ServiceOptions options)
-    : options_(options),
+    : queue_limit_(options.queue_limit),
       pool_(options.threads > 0 ? options.threads
                                 : runner::configured_threads()) {
-  const std::size_t shard_count = std::max<std::size_t>(1, options_.shards);
-  const std::size_t per_shard =
-      options_.cache_capacity == 0
-          ? 0
-          : (options_.cache_capacity + shard_count - 1) / shard_count;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->cache.init(per_shard);
-    // Flight tables stay tiny (bounded by queue_limit); reserve so the
-    // coalesce path's find() never observes a rehash in progress.
-    shard->flights.reserve(options_.queue_limit + 8);
-    shards_.push_back(std::move(shard));
-  }
-  // Admission caps concurrently-admitted missions at queue_limit, so that
-  // many flight records suffice; the margin absorbs nothing but costs
-  // nothing measurable either.
-  const std::size_t pool_size = options_.queue_limit + 8;
-  flight_storage_.reserve(pool_size);
-  flight_free_.reserve(pool_size);
-  for (std::size_t i = 0; i < pool_size; ++i) {
-    flight_storage_.push_back(std::make_unique<Flight>());
-    flight_free_.push_back(flight_storage_.back().get());
-  }
+  cache_.init(options.cache_capacity);
 }
 
 MissionService::~MissionService() { shutdown(); }
@@ -60,129 +36,68 @@ void MissionService::set_execution_hook(std::function<void()> hook) {
   hook_ = std::move(hook);
 }
 
-MissionService::Shard& MissionService::shard_for(const MissionKey& key) {
-  return *shards_[MissionKeyHash{}(key) % shards_.size()];
-}
-
-std::uint64_t MissionService::resolve_seed(const MissionRequest& request) {
-  if (!request.auto_seed) return request.config.seed;
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(tenant_m_);
-    seq = tenant_seq_[request.tenant]++;
-  }
-  // The tenant's seed stream: an FNV fold of (base_seed, tenant, seq) —
-  // deterministic per service configuration and per-tenant arrival order,
-  // and unrelated across tenants (the fold separates the streams the same
-  // way Rng::fork labels separate stream families).
-  Fnv fnv;
-  fnv.mix(options_.base_seed);
-  fnv.mix(request.tenant);
-  fnv.mix(seq);
-  return fnv.hash();
-}
-
-MissionService::Flight* MissionService::acquire_flight() {
-  std::lock_guard<std::mutex> lock(pool_m_);
-  WRSN_ASSERT(!flight_free_.empty());
-  Flight* flight = flight_free_.back();
-  flight_free_.pop_back();
-  return flight;
-}
-
-void MissionService::release_flight(Flight* flight) {
-  std::lock_guard<std::mutex> lock(pool_m_);
-  flight_free_.push_back(flight);
-}
-
 MissionService::Ticket MissionService::stage(const MissionRequest& request) {
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
   const MissionKey key{scenario_digest(request.config, request.mode),
-                       resolve_seed(request)};
-
+                       request.config.seed};
   Ticket ticket;
-  if (!accepting_.load(std::memory_order_acquire)) {
-    stats_.shed.fetch_add(1, std::memory_order_relaxed);
+  std::unique_lock<std::mutex> lock(m_);
+  ++stats_.requests;
+  if (!accepting_) {
+    ++stats_.shed;
     ticket.immediate = rejection(MissionStatus::kClosed, key);
     return ticket;
   }
-
-  Shard& shard = shard_for(key);
-  std::unique_lock<std::mutex> lock(shard.m);
-
-  if (shard.cache.lookup(key, ticket.immediate)) {
+  if (cache_.lookup(key, ticket.immediate)) {
     ticket.immediate.route = MissionRoute::kCacheHit;
-    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.cache_hits;
     return ticket;
   }
-  if (const auto it = shard.flights.find(key); it != shard.flights.end()) {
-    Flight* flight = it->second;
-    ++flight->refs;
-    stats_.coalesced.fetch_add(1, std::memory_order_relaxed);
-    ticket.shard = &shard;
-    ticket.flight = flight;
+  if (const auto it = flights_.find(key); it != flights_.end()) {
+    ++stats_.coalesced;
+    ticket.flight = it->second;
     ticket.route = MissionRoute::kCoalesced;
     return ticket;
   }
-
-  // Admission: hold a pending slot or shed.  fetch_add-then-check keeps the
-  // admitted count <= queue_limit without a CAS loop; rejected arrivals
-  // release their transient increment immediately.  The shed policy is
+  // Admission: hold a pending slot or shed.  The shed policy is
   // deterministic by construction — the ARRIVING request is rejected, never
   // a queued one, so admitted work is never abandoned.
-  const std::size_t prior = pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (prior >= options_.queue_limit) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    stats_.shed.fetch_add(1, std::memory_order_relaxed);
+  if (pending_ >= queue_limit_) {
+    ++stats_.shed;
     ticket.immediate = rejection(MissionStatus::kShed, key);
     return ticket;
   }
-  std::uint64_t peak = stats_.queue_peak.load(std::memory_order_relaxed);
-  while (prior + 1 > peak &&
-         !stats_.queue_peak.compare_exchange_weak(
-             peak, prior + 1, std::memory_order_relaxed)) {
-  }
+  ++pending_;
+  stats_.queue_peak = std::max<std::uint64_t>(stats_.queue_peak, pending_);
 
-  Flight* flight = acquire_flight();
+  // Miss path: these allocations are fine — this request is about to run a
+  // full mission.
+  auto flight = std::make_shared<Flight>();
   flight->key = key;
-  flight->done = false;
-  flight->refs = 1;  // the creator's ticket
-  shard.flights.emplace(key, flight);
-  ticket.shard = &shard;
-  ticket.flight = flight;
-  ticket.route = MissionRoute::kExecuted;
+  flights_.emplace(key, flight);
   lock.unlock();
 
-  // Miss path: copy the request (the executed config carries the resolved
-  // seed) and enqueue.  These allocations are fine — this request is about
-  // to run a full mission.
-  MissionRequest owned = request;
-  owned.config.seed = key.seed;
-  pool_.submit([this, &shard, flight, req = std::move(owned)]() mutable {
-    execute(shard, flight, std::move(req));
+  ticket.flight = flight;
+  ticket.route = MissionRoute::kExecuted;
+  pool_.submit([this, flight = std::move(flight), request] {
+    execute(*flight, request);
   });
   return ticket;
 }
 
 MissionResponse MissionService::collect(Ticket& ticket) {
-  if (ticket.flight == nullptr) return ticket.immediate;
-  Flight* flight = ticket.flight;
+  if (!ticket.flight) return ticket.immediate;
+  Flight& flight = *ticket.flight;
   MissionResponse resp;
   {
-    std::unique_lock<std::mutex> lock(ticket.shard->m);
-    flight->cv.wait(lock, [flight] { return flight->done; });
-    resp = flight->response;
-    if (--flight->refs == 0) {
-      lock.unlock();
-      release_flight(flight);
-    }
+    std::unique_lock<std::mutex> lock(m_);
+    flight.cv.wait(lock, [&flight] { return flight.done; });
+    resp = flight.response;
   }
   resp.route = ticket.route;
   return resp;
 }
 
-void MissionService::execute(Shard& shard, Flight* flight,
-                             MissionRequest request) {
+void MissionService::execute(Flight& flight, const MissionRequest& request) {
   if (hook_) hook_();
   // The runner's convention: workers run with explicitly NO registry, so
   // mission behavior never depends on the submitting thread's obs state.
@@ -194,27 +109,23 @@ void MissionService::execute(Shard& shard, Flight* flight,
     const analysis::ScenarioResult result =
         analysis::run_mission(request.config, request.mode);
     resp.status = MissionStatus::kOk;
-    resp.outcome = make_outcome(flight->key.digest, flight->key.seed, result);
+    resp.outcome = make_outcome(flight.key.digest, flight.key.seed, result);
   } catch (const std::exception&) {
     // A config that passes validation but cannot run (e.g. topology
     // generation gives up) yields an explicit kInvalid, not a dead flight.
-    resp = rejection(MissionStatus::kInvalid, flight->key);
+    resp = rejection(MissionStatus::kInvalid, flight.key);
   }
-  stats_.executions.fetch_add(1, std::memory_order_relaxed);
 
-  {
-    std::lock_guard<std::mutex> lock(shard.m);
-    if (resp.status == MissionStatus::kOk && shard.cache.capacity() > 0) {
-      if (shard.cache.insert(flight->key, resp)) {
-        stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    flight->response = resp;
-    flight->done = true;
-    shard.flights.erase(flight->key);
-    flight->cv.notify_all();
+  std::lock_guard<std::mutex> lock(m_);
+  ++stats_.executions;
+  if (resp.status == MissionStatus::kOk && cache_.insert(flight.key, resp)) {
+    ++stats_.evictions;
   }
-  pending_.fetch_sub(1, std::memory_order_acq_rel);
+  flight.response = resp;
+  flight.done = true;
+  flights_.erase(flight.key);
+  --pending_;
+  flight.cv.notify_all();
 }
 
 MissionResponse MissionService::submit(const MissionRequest& request) {
@@ -250,20 +161,16 @@ std::vector<MissionResponse> MissionService::submit_batch(
 void MissionService::drain() { pool_.wait_idle(); }
 
 void MissionService::shutdown() {
-  accepting_.store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    accepting_ = false;
+  }
   drain();
 }
 
 ServiceStats MissionService::stats() const {
-  ServiceStats s;
-  s.requests = stats_.requests.load(std::memory_order_relaxed);
-  s.executions = stats_.executions.load(std::memory_order_relaxed);
-  s.cache_hits = stats_.cache_hits.load(std::memory_order_relaxed);
-  s.coalesced = stats_.coalesced.load(std::memory_order_relaxed);
-  s.shed = stats_.shed.load(std::memory_order_relaxed);
-  s.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  s.queue_peak = stats_.queue_peak.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(m_);
+  return stats_;
 }
 
 void MissionService::flush_obs() const {

@@ -1,16 +1,18 @@
-// MissionService: a long-running, multi-tenant mission server.
+// MissionService: a long-running mission server.
 //
-// Thousands of concurrent mission / what-if requests dispatch onto the
-// repo's runner thread pool.  The perf core (DESIGN.md section 13):
+// Concurrent mission / what-if requests dispatch onto the repo's runner
+// thread pool.  The perf core (DESIGN.md section 13):
 //
 //   * canonical scenario digest (svc/digest.hpp) — the order-invariant
 //     identity of a request; the cache/coalescing key is (digest, seed);
-//   * request coalescing — identical in-flight keys share ONE execution
-//     via pooled flight records; joiners block on the flight's condvar and
-//     copy the finished response;
-//   * bounded sharded LRU result cache — each shard pairs an LruCore with
-//     the mutex that also guards the shard's flight table, so completion
-//     publishes to the cache and retires the flight atomically;
+//   * request coalescing — identical in-flight keys share ONE execution:
+//     the miss that admits a mission creates its flight record, joiners
+//     share it through their tickets, block on its condvar and copy the
+//     finished response;
+//   * bounded LRU result cache — one LruCore behind the service's one
+//     mutex, which also guards the flight table, the pending count and the
+//     stats, so completion publishes to the cache and retires the flight
+//     atomically: a request sees exactly one of {execute, join, hit};
 //   * admission control — at most `queue_limit` missions in flight; the
 //     shed policy is deterministic (reject the arriving request, never a
 //     queued one), so an overloaded service degrades to explicit kShed
@@ -27,13 +29,13 @@
 // (execute / cache hit / coalesced join) served them, at any thread count.
 //
 // Steady-state allocation: after warmup, the cache-hit and coalesced-join
-// paths allocate nothing — preallocated cache slots, pooled flight records,
-// an index map that never rehashes, and trivially-copyable responses
-// (sim_alloc_test pins both paths with a counting operator new).  Misses
-// allocate (they are about to run a multi-millisecond mission).
+// paths allocate nothing — preallocated cache slots, an index map that
+// never rehashes, a joiner only copies the flight's shared_ptr, and
+// responses are trivially copyable (sim_alloc_test pins both paths with a
+// counting operator new).  Misses allocate (the flight record among other
+// things; they are about to run a multi-millisecond mission).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -53,14 +55,10 @@ namespace wrsn::svc {
 struct ServiceOptions {
   /// Worker threads; 0 = runner::configured_threads() (WRSN_THREADS).
   std::size_t threads = 0;
-  /// Result-cache entries across all shards; 0 disables caching.
+  /// Result-cache entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
-  /// Lock shards (cache + flight table); clamped to >= 1.
-  std::size_t shards = 8;
   /// Max missions admitted (queued + executing) before shedding.
   std::size_t queue_limit = 1024;
-  /// Base of the per-tenant auto-seed streams.
-  std::uint64_t base_seed = 1;
 };
 
 /// Monotonic tallies since construction.  requests = executions +
@@ -115,66 +113,41 @@ class MissionService {
   void set_execution_hook(std::function<void()> hook);
 
  private:
-  /// One in-flight execution; joiners wait on `cv` under the shard mutex.
-  /// Pooled and reused: `refs` counts stagers still holding a ticket
-  /// (creator included); the last collector returns it to the freelist.
+  /// One in-flight execution, created by the miss that admits it.  Its
+  /// joiners wait on `cv` under the service mutex; the table entry, the
+  /// creator's ticket, each joiner's ticket and the worker share it.
   struct Flight {
     MissionKey key;
     MissionResponse response;
     bool done = false;
-    std::uint32_t refs = 0;
     std::condition_variable cv;
-  };
-
-  struct Shard {
-    mutable std::mutex m;
-    LruCore cache;
-    std::unordered_map<MissionKey, Flight*, MissionKeyHash> flights;
   };
 
   /// Staged request: either an immediate response (hit / shed / closed) or
   /// a flight to wait on.
   struct Ticket {
-    Shard* shard = nullptr;
-    Flight* flight = nullptr;
+    std::shared_ptr<Flight> flight;
     MissionRoute route = MissionRoute::kNone;
     MissionResponse immediate;
   };
 
   Ticket stage(const MissionRequest& request);
   MissionResponse collect(Ticket& ticket);
-  void execute(Shard& shard, Flight* flight, MissionRequest request);
-  std::uint64_t resolve_seed(const MissionRequest& request);
-  Flight* acquire_flight();
-  void release_flight(Flight* flight);
-  Shard& shard_for(const MissionKey& key);
+  void execute(Flight& flight, const MissionRequest& request);
 
-  const ServiceOptions options_;
-  runner::ThreadPool pool_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  std::mutex pool_m_;  ///< guards the flight freelist
-  std::vector<std::unique_ptr<Flight>> flight_storage_;
-  std::vector<Flight*> flight_free_;
-
-  std::mutex tenant_m_;
-  std::unordered_map<std::uint64_t, std::uint64_t> tenant_seq_;
-
-  std::atomic<bool> accepting_{true};
-  std::atomic<std::size_t> pending_{0};
-
+  const std::size_t queue_limit_;
   std::function<void()> hook_;
 
-  struct StatCounters {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> executions{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> coalesced{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> queue_peak{0};
-  };
-  mutable StatCounters stats_;
+  mutable std::mutex m_;  ///< guards the five members below
+  LruCore cache_;
+  std::unordered_map<MissionKey, std::shared_ptr<Flight>, MissionKeyHash>
+      flights_;
+  std::size_t pending_ = 0;  ///< admitted missions not yet finished
+  bool accepting_ = true;
+  ServiceStats stats_;
+
+  /// Declared last: its workers use every member above.
+  runner::ThreadPool pool_;
 };
 
 }  // namespace wrsn::svc

@@ -1,8 +1,8 @@
 // Request/response types of the mission service.
 //
 // The response payload (`MissionOutcome`) is deliberately a trivially
-// copyable POD: it is memcpy'd between cache slots, flight records, and
-// binary protocol frames, and the service's byte-identical guarantee
+// copyable POD: it is copied between the cache, flight records and binary
+// protocol frames, and the service's byte-identical guarantee
 // ("a cache hit or coalesced join returns exactly what the execution
 // returned") is literally a memcmp over this struct.  Transport metadata
 // (how the request was served) lives outside it in `MissionResponse`, so
@@ -37,7 +37,7 @@ enum class MissionRoute : std::uint8_t {
 /// Deterministic mission summary: a pure function of (scenario, seed).
 struct MissionOutcome {
   std::uint64_t scenario_digest = 0;  ///< canonical config digest (no seed)
-  std::uint64_t seed = 0;             ///< resolved seed the mission ran with
+  std::uint64_t seed = 0;             ///< seed the mission ran with
   std::uint64_t result_digest = 0;    ///< analysis::digest_result of the run
 
   std::uint32_t node_count = 0;
@@ -63,17 +63,11 @@ struct MissionOutcome {
 static_assert(std::is_trivially_copyable_v<MissionOutcome>);
 
 /// One mission request.  The config is fully resolved (defaults + overrides
-/// already applied); `mode` selects the benign or attacking service exactly
-/// as analysis::run_mission does.
+/// already applied, config.seed included); `mode` selects the benign or
+/// attacking service exactly as analysis::run_mission does.
 struct MissionRequest {
   analysis::ScenarioConfig config;
   analysis::ChargerMode mode = analysis::ChargerMode::Attack;
-  /// Tenant id: selects the per-tenant auto-seed stream and labels stats.
-  std::uint64_t tenant = 0;
-  /// Replace config.seed with the next seed of this tenant's deterministic
-  /// stream (what-if sweeps without client-side seed bookkeeping).  The
-  /// resolved seed is reported back in outcome.seed for standalone replay.
-  bool auto_seed = false;
 };
 
 struct MissionResponse {

@@ -397,7 +397,7 @@ TEST(ServiceAllocation, CacheHitPathDoesNotAllocate) {
   const svc::MissionRequest request = service_request(3);
 
   // Warmup: one execution, one hit (the hit also touches every lazily-built
-  // piece of the submit path — obs span, key digest, shard lookup).
+  // piece of the submit path — obs span, key digest, cache lookup).
   const svc::MissionResponse executed = service.submit(request);
   ASSERT_EQ(executed.status, svc::MissionStatus::kOk);
   ASSERT_EQ(service.submit(request).route, svc::MissionRoute::kCacheHit);
@@ -424,7 +424,7 @@ TEST(ServiceAllocation, CoalescedJoinPathDoesNotAllocate) {
   svc::MissionService service(options);
 
   // Park every execution until released.  The hook runs on the worker after
-  // the flight is registered in the shard table, so `parked` doubles as the
+  // the flight is registered in the service's flight table, so `parked` is the
   // "safe to join now" signal.
   std::atomic<bool> parked{false};
   std::atomic<bool> release{false};
@@ -435,8 +435,8 @@ TEST(ServiceAllocation, CoalescedJoinPathDoesNotAllocate) {
     }
   });
 
-  // Warmup round: creator + join, then drain, so the flight pool, the
-  // shard's flight table, and the collector path have all been exercised.
+  // Warmup round: creator + join, then drain, so the flight table and the
+  // collector path have both been exercised.
   const svc::MissionRequest warm = service_request(5);
   std::thread warm_creator([&] { service.submit(warm); });
   while (!parked.load(std::memory_order_acquire)) std::this_thread::yield();

@@ -8,6 +8,8 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -589,7 +591,6 @@ ServiceOptions quick_options(std::size_t threads = 2) {
   ServiceOptions opt;
   opt.threads = threads;
   opt.cache_capacity = 64;
-  opt.shards = 4;
   opt.queue_limit = 64;
   return opt;
 }
@@ -765,31 +766,6 @@ TEST(MissionService, BatchKeepsOrderAndCoalescesDuplicates) {
             stats.executions + stats.cache_hits + stats.coalesced + stats.shed);
 }
 
-TEST(MissionService, AutoSeedStreamsAreDeterministicPerTenant) {
-  std::vector<std::uint64_t> tenant1_a, tenant1_b, tenant2;
-  for (int round = 0; round < 2; ++round) {
-    ServiceOptions opt = quick_options();
-    opt.base_seed = 77;
-    MissionService service(opt);
-    auto run = [&](std::uint64_t tenant) {
-      MissionRequest request = quick_request(0);
-      request.tenant = tenant;
-      request.auto_seed = true;
-      return service.submit(request).outcome.seed;
-    };
-    std::vector<std::uint64_t>& t1 = round == 0 ? tenant1_a : tenant1_b;
-    for (int i = 0; i < 3; ++i) t1.push_back(run(1));
-    if (round == 0) {
-      for (int i = 0; i < 3; ++i) tenant2.push_back(run(2));
-    }
-  }
-  // Same service config, same tenant, same arrival order => same seeds.
-  EXPECT_EQ(tenant1_a, tenant1_b);
-  // Streams are distinct per tenant and non-repeating within a tenant.
-  EXPECT_NE(tenant1_a, tenant2);
-  EXPECT_NE(tenant1_a[0], tenant1_a[1]);
-}
-
 TEST(MissionService, CacheDisabledStillCoalescesButReExecutes) {
   ServiceOptions opt = quick_options();
   opt.cache_capacity = 0;
@@ -806,15 +782,25 @@ TEST(MissionService, CacheDisabledStillCoalescesButReExecutes) {
 
 TEST(MissionService, EvictionsAreCountedAndBounded) {
   ServiceOptions opt = quick_options();
-  opt.cache_capacity = 4;  // 4 shards => 1 entry each
-  opt.shards = 4;
+  opt.cache_capacity = 4;
   MissionService service(opt);
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     service.submit(quick_request(seed));
   }
-  const ServiceStats stats = service.stats();
+  ServiceStats stats = service.stats();
   EXPECT_EQ(stats.executions, 12u);
-  EXPECT_GT(stats.evictions, 0u);
+  // One LRU of 4 entries: every insert past the fourth evicts, and the four
+  // most recent seeds are exactly what stays.
+  EXPECT_EQ(stats.evictions, 8u);
+  for (std::uint64_t seed = 9; seed <= 12; ++seed) {
+    EXPECT_EQ(service.submit(quick_request(seed)).route,
+              MissionRoute::kCacheHit)
+        << "seed " << seed;
+  }
+  stats = service.stats();
+  EXPECT_EQ(stats.executions, 12u);
+  EXPECT_EQ(stats.cache_hits, 4u);
+  EXPECT_EQ(stats.evictions, 8u);
 }
 
 TEST(MissionService, InvalidConfigYieldsInvalidNotCrash) {
@@ -932,7 +918,6 @@ TEST(Protocol, ToMissionRequestResolvesReproLines) {
   wire.repro = "mode=benign;seed=31;topology.node_count=24;horizon=7200";
   const MissionRequest request = to_mission_request(wire);
   EXPECT_EQ(request.mode, analysis::ChargerMode::Benign);
-  EXPECT_EQ(request.tenant, 4u);
   EXPECT_EQ(request.config.seed, 31u);
   EXPECT_EQ(request.config.topology.node_count, 24u);
   EXPECT_DOUBLE_EQ(request.config.horizon, 7'200.0);
@@ -1719,6 +1704,64 @@ TEST(MissionServer, BadModeIsInvalidAndServerKeepsServing) {
   EXPECT_EQ(json_client.call(1, repro).status, MissionStatus::kInvalid);
   EXPECT_EQ(binary_client.call(2, repro).status, MissionStatus::kInvalid);
   EXPECT_EQ(json_client.call(3, quick_repro(48)).status, MissionStatus::kOk);
+  server.stop();
+}
+
+/// Entries of /proc/self/task: the threads this process runs now.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// VmSize of this process in kB.  An exited thread leaves /proc/self/task
+/// at once, but until it is joined or detached its stack stays mapped.
+std::size_t process_vm_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.starts_with("VmSize:")) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+/// Polls until at most `limit` threads run; false after 5 s.
+bool threads_settle_to(std::size_t limit) {
+  for (int tries = 0; tries < 5000; ++tries) {
+    if (process_threads() <= limit) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+TEST(MissionServer, ClosedConnectionsReleaseTheirThreads) {
+  MissionService service(quick_options());
+  const std::string path = test_socket_path("churn");
+  MissionServer server(service, path);
+  server.start();
+  const std::size_t threads_before = process_threads();
+  // Warm up: the mission runs once, and the first connection thread's stack
+  // and malloc arena exist before the address space is measured.
+  const std::string repro = quick_repro(1);
+  EXPECT_EQ(MissionClient(path).call(1, repro).status, MissionStatus::kOk);
+  ASSERT_TRUE(threads_settle_to(threads_before));
+  const std::size_t vm_before_kb = process_vm_kb();
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    {
+      MissionClient client(path, /*binary=*/i % 2 == 1);
+      ASSERT_EQ(client.call(i, repro).status, MissionStatus::kOk);
+    }
+    // The connection's thread ends just after its client hangs up.  Waiting
+    // for it keeps one connection thread alive at a time, so the address
+    // space below measures retained stacks, not extra malloc arenas.
+    ASSERT_TRUE(threads_settle_to(threads_before)) << "connection " << i;
+  }
+  // 200 retained 8 MB stacks would add 1.6 GB; allow a few.
+  EXPECT_LE(process_vm_kb(), vm_before_kb + 64 * 1024)
+      << "before " << vm_before_kb << " kB";
   server.stop();
 }
 

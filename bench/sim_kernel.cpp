@@ -478,9 +478,9 @@ class CountingPlanner final : public csa::Planner {
 // CSA attacker (a fleet of 4 puts it in one Voronoi cell next to three
 // honest chargers); benign rows run the honest NJNP charger and never plan.
 // Counters: kernel events, attacker replans, and mean TIDE stops per
-// replan (each replan's travel matrix spans that many stops); the mission
-// health record (partition hour, sink-connected fraction at the end,
-// escalations per node-hour, whether the deployed suite fired); and
+// replan (each travel row a replan computes spans that many stops); the
+// mission health record (partition hour, sink-connected fraction at the
+// end, escalations per node-hour, whether the deployed suite fired); and
 // heap_peak, the most kernel-heap entries plus queued timer nodes at once.
 void BM_Mission(benchmark::State& state) {
   const bool attack = state.range(0) != 0;

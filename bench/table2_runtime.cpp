@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -46,23 +45,18 @@ csa::TideInstance random_instance(std::size_t keys, std::size_t stops,
   return inst;
 }
 
-// One replan as the attacker's loop runs it: rebind the instance's travel
-// matrix in place (the orchestrator's matrix arena), then plan_into on the
-// planner's arenas.  The matrix build is inside the timed region — a replan
-// pays for it every time, so a row that cached it once would time only the
-// fill.
+// One replan as the attacker's loop runs it: plan_into on the planner's
+// arenas.  The route computes its travel rows inside the timed region, as
+// every replan does.
 void BM_CsaPlanner(benchmark::State& state) {
   const auto stops = static_cast<std::size_t>(state.range(0));
-  csa::TideInstance inst = random_instance(10, stops, 42);
-  const auto matrix = std::make_shared<csa::TravelMatrix>();
+  const csa::TideInstance inst = random_instance(10, stops, 42);
   const csa::CsaPlanner planner;
   Rng rng(1);
   csa::Plan plan;
   double utility = 0.0;
   std::size_t scheduled = 0;
   for (auto _ : state) {
-    matrix->rebuild(inst);
-    inst.set_travel_matrix(std::shared_ptr<const csa::TravelMatrix>(matrix));
     planner.plan_into(inst, rng, plan);
     // Const view: GCC miscompiles the read-write ("+m,r") DoNotOptimize
     // overload on a double lvalue, which garbled the utility counter.
@@ -79,8 +73,8 @@ BENCHMARK(BM_CsaPlanner)->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
 // Fleet-level scalability: the cooperative planner (Voronoi seeding, EDF key
 // assignment, per-cell CELF fill, spill auction) over 1/2/4 chargers sharing
 // one stop pool.  Uses plan_into on arena state, like the replan loop does;
-// plan_into rebuilds every charger's travel matrix itself, so the timed
-// region covers the matrix builds as BM_CsaPlanner's does.
+// every charger's route computes its travel rows inside the timed region,
+// as BM_CsaPlanner's does.
 void BM_FleetPlanner(benchmark::State& state) {
   const auto chargers = static_cast<std::size_t>(state.range(0));
   const auto stops = static_cast<std::size_t>(state.range(1));

@@ -10,9 +10,10 @@ void CelfFill::clear(std::size_t stops) {
   candidates_.reserve(stops);
 }
 
-bool CelfFill::add(const TideInstance& instance, std::size_t stop) {
+bool CelfFill::add(const RouteState& route, std::size_t stop) {
+  const TideInstance& instance = route.instance();
   const Stop& s = instance.stops[stop];
-  if (instance.start_time + instance.travel_matrix().from_start(stop) >
+  if (instance.start_time + route.from_start(stop) >
       s.window_close + kWindowEpsilon + 1e-6) {
     return false;
   }

@@ -42,12 +42,12 @@ class CelfFill {
  public:
   /// Empties the pool, keeping room for `stops` candidates.
   void clear(std::size_t stops);
-  /// Adds `stop` to the pool.  Returns false, adding nothing, when the
-  /// charger cannot reach the stop's window even straight from the start
-  /// (any route prefix only arrives later).  The guard keeps borderline
-  /// floating-point cases in play so the reference planner's per-round
-  /// rejections are reproduced exactly.
-  bool add(const TideInstance& instance, std::size_t stop);
+  /// Adds `stop` of the instance `route` is bound to to the pool.  Returns
+  /// false, adding nothing, when the charger cannot reach the stop's window
+  /// even straight from the start (any route prefix only arrives later).
+  /// The guard keeps borderline floating-point cases in play so the
+  /// reference planner's per-round rejections are reproduced exactly.
+  bool add(const RouteState& route, std::size_t stop);
 
   /// The pool after run(): sorted, with the inserted candidates marked.
   const std::vector<CelfCandidate>& candidates() const { return candidates_; }

@@ -64,12 +64,11 @@ std::size_t seed_charger(const FleetInstance& instance, geom::Vec2 p,
 /// fill leaves uninserted (pre-filtered unreachable ones included: they are
 /// infeasible at every position, so the reference's full rescans reject
 /// them too) are appended to `spill` for the fleet-wide re-auction.
-void fill_cell_celf(const TideInstance& instance, RouteState& route,
-                    const std::vector<std::size_t>& cell, CelfFill& fill,
-                    std::vector<std::size_t>& spill) {
+void fill_cell_celf(RouteState& route, const std::vector<std::size_t>& cell,
+                    CelfFill& fill, std::vector<std::size_t>& spill) {
   fill.clear(cell.size());
   for (const std::size_t i : cell) {
-    if (!fill.add(instance, i)) spill.push_back(i);
+    if (!fill.add(route, i)) spill.push_back(i);
   }
   // The fleet planner keeps no per-fill observability tally.
   std::uint64_t tried = 0;
@@ -142,17 +141,12 @@ void CooperativeFleetPlanner::plan_into(const FleetInstance& instance,
   }
 
   insts_.resize(m);
-  matrices_.resize(m);
   routes_.resize(m);
   for (const std::size_t k : alive_) {
     insts_[k].start_position = instance.chargers[k].start_position;
     insts_[k].start_time = instance.chargers[k].start_time;
     insts_[k].speed = instance.chargers[k].speed;
     insts_[k].stops = instance.stops;
-    if (!matrices_[k]) matrices_[k] = std::make_shared<TravelMatrix>();
-    matrices_[k]->rebuild(insts_[k]);
-    insts_[k].set_travel_matrix(
-        std::shared_ptr<const TravelMatrix>(matrices_[k]));
     routes_[k].bind(insts_[k]);
     routes_[k].reserve(instance.stops.size());
   }
@@ -207,7 +201,7 @@ void CooperativeFleetPlanner::plan_into(const FleetInstance& instance,
       const Stop& s = instance.stops[i];
       if (!s.is_key && s.utility > 0.0 && seed_[i] == k) cell_.push_back(i);
     }
-    fill_cell_celf(insts_[k], routes_[k], cell_, fill_, spill_);
+    fill_cell_celf(routes_[k], cell_, fill_, spill_);
   }
 
   // (E) Utility spill auction, descending utility (ties: lower stop index).

@@ -33,7 +33,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -95,8 +94,8 @@ class FleetPlanner {
 };
 
 /// The production fleet planner (phases A-E above) on the slack-based
-/// RouteState.  Each charger's travel matrix fills rows on demand, so a
-/// plan materialises only the rows of stops that enter some route.
+/// RouteState.  Each charger's route computes the travel rows of its own
+/// stops, so a plan holds only the rows of stops that enter some route.
 ///
 /// Same thread-affinity rule as csa::Planner (mutable arenas: one thread
 /// at a time).
@@ -105,17 +104,16 @@ class CooperativeFleetPlanner final : public FleetPlanner {
   std::string_view name() const override { return "Fleet-CSA"; }
   FleetPlan plan(const FleetInstance& instance) const override;
   /// In-place variant for the replan loop.  All per-charger state (member
-  /// instances, travel matrices, route states) and every phase's scratch
-  /// list are arenas reused across calls, so a steady-state replan over a
-  /// previously seen stop set performs no heap allocation (sim_alloc_test
-  /// pins this).
+  /// instances, route states and their row pools) and every phase's
+  /// scratch list are arenas reused across calls, so a steady-state replan
+  /// over a previously seen stop set performs no heap allocation
+  /// (sim_alloc_test pins this).
   void plan_into(const FleetInstance& instance, FleetPlan& out) const;
 
  private:
   // plan() is const (FleetPlanner interface); the arenas hold no cross-call
   // state a later call can observe.
   mutable std::vector<TideInstance> insts_;
-  mutable std::vector<std::shared_ptr<TravelMatrix>> matrices_;
   mutable std::vector<RouteState> routes_;
   mutable std::vector<std::size_t> alive_;
   mutable std::vector<std::size_t> keys_;

@@ -87,8 +87,8 @@ FleetPlan NaiveFleetPlanner::plan(const FleetInstance& instance) const {
 
   // One member instance per alive charger over the full stop pool; travel
   // times come straight from TideInstance::travel_time (the naive route
-  // state never touches a matrix), which the TravelMatrix contract pins
-  // bit-identical to the fast planner's on-demand rows.
+  // state keeps no rows), which RouteState's row contract pins
+  // bit-identical to the fast planner's route-owned rows.
   std::vector<TideInstance> insts(m);
   std::vector<std::optional<NaiveRouteState>> routes(m);
   for (const std::size_t k : alive) {

@@ -222,10 +222,7 @@ void CsaStrategy::build_instance(const mc::Vehicle& vehicle,
 
   // Predicted key-node requests inside the lookahead horizon: lets the
   // planner reserve capacity for tight future windows.
-  if (params_.spoof_mode == SpoofMode::NoService) {
-    prime_travel_matrix(instance);
-    return;
-  }
+  if (params_.spoof_mode == SpoofMode::NoService) return;
   for (const net::NodeId key : key_targets_) {
     if (!world_.alive(key) || world_.has_pending_request(key)) continue;
     const Seconds predicted = world_.predicted_request(key);
@@ -246,14 +243,6 @@ void CsaStrategy::build_instance(const mc::Vehicle& vehicle,
     stop.utility = 0.0;
     instance.stops.push_back(stop);
   }
-  prime_travel_matrix(instance);
-}
-
-void CsaStrategy::prime_travel_matrix(TideInstance& instance) const {
-  if (!travel_matrix_) travel_matrix_ = std::make_shared<TravelMatrix>();
-  travel_matrix_->rebuild(instance);
-  instance.set_travel_matrix(
-      std::shared_ptr<const TravelMatrix>(travel_matrix_));
 }
 
 void CsaStrategy::plan(mc::Vehicle& vehicle) {

@@ -153,9 +153,6 @@ class CsaStrategy final : public mc::Strategy {
   /// into `instance`, reusing its stop storage.
   void build_instance(const mc::Vehicle& vehicle,
                       TideInstance& instance) const;
-  /// Installs the instance's travel matrix: the strategy-owned matrix
-  /// arena, rebound in place (rows fill on demand as the planner reads).
-  void prime_travel_matrix(TideInstance& instance) const;
 
   sim::World& world_;
   AttackParams params_;
@@ -171,11 +168,10 @@ class CsaStrategy final : public mc::Strategy {
   std::vector<Seconds> kill_schedule_;
   /// Keys already spoof-killed (their deaths are pre-counted predictively).
   std::unordered_set<net::NodeId> spoof_killed_;
-  /// Replan arenas: the instance snapshot, its travel matrix, and the plan
-  /// are rebuilt in place every replan, so steady-state replanning (stop
-  /// set previously seen) performs no heap allocation (sim_alloc_test).
+  /// Replan arenas: the instance snapshot and the plan are rebuilt in place
+  /// every replan, so steady-state replanning (stop set previously seen)
+  /// performs no heap allocation (sim_alloc_test).
   TideInstance plan_instance_;
-  mutable std::shared_ptr<TravelMatrix> travel_matrix_;
   Plan plan_;
 
   std::uint64_t plans_computed_ = 0;

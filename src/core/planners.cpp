@@ -54,7 +54,7 @@ void fill_utility_greedy(const TideInstance& instance, RouteState& route,
   for (std::size_t i = 0; i < instance.stops.size(); ++i) {
     const Stop& s = instance.stops[i];
     if (s.is_key || s.utility <= 0.0) continue;
-    fill.add(instance, i);
+    fill.add(route, i);
   }
   fill.run(route, insertions_tried);
 }

@@ -16,13 +16,12 @@
 //
 // Performance: insertion feasibility is O(1) via the push-forward slack
 // suffix array in core/route_state.hpp (so best_insertion is O(route)), all
-// travel times come from the instance's TravelMatrix, whose rows fill on
-// demand (no sqrt in the inner loops), and the greedy fill is lazy,
-// CELF-style: a round stops rescoring once the remaining utilities (an
-// upper bound on the cost-benefit score) drop below the incumbent.  Plans
-// are bit-identical to the retained naive implementation
-// (core/reference_planner.hpp), which the plan-equivalence property test
-// enforces on every run.
+// travel times come from rows the route computes for its own stops (no sqrt
+// in the inner loops), and the greedy fill is lazy, CELF-style: a round
+// stops rescoring once the remaining utilities (an upper bound on the
+// cost-benefit score) drop below the incumbent.  Plans are bit-identical to
+// the retained naive implementation (core/reference_planner.hpp), which the
+// plan-equivalence property test enforces on every run.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "core/tide.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/check.hpp"
 
@@ -15,60 +14,6 @@ std::size_t TideInstance::key_count() const {
 
 Seconds TideInstance::travel_time(geom::Vec2 from, geom::Vec2 to) const {
   return geom::distance(from, to) / speed;
-}
-
-TravelMatrix TravelMatrix::build(const TideInstance& instance) {
-  TravelMatrix m;
-  m.rebuild(instance);
-  return m;
-}
-
-void TravelMatrix::rebuild(const TideInstance& instance) {
-  n_ = instance.stops.size();
-  speed_ = instance.speed;
-  rows_filled_ = 0;
-  positions_.resize(n_);
-  start_row_.resize(n_);
-  row_.assign(n_, nullptr);
-  for (std::size_t i = 0; i < n_; ++i) {
-    positions_[i] = instance.stops[i].position;
-    start_row_[i] =
-        geom::distance(instance.start_position, positions_[i]) / speed_;
-  }
-  if (n_ > row_width_) {
-    // Every buffer is too narrow now, and none belongs to a live generation.
-    pool_.clear();
-    row_width_ = n_;
-  }
-}
-
-const Seconds* TravelMatrix::fill_row(std::size_t i) const {
-  if (rows_filled_ == pool_.size()) {
-    pool_.push_back(std::make_unique_for_overwrite<Seconds[]>(row_width_));
-  }
-  Seconds* const out = pool_[rows_filled_++].get();
-  const geom::Vec2 from = positions_[i];
-  for (std::size_t j = 0; j < n_; ++j) {
-    out[j] = geom::distance(from, positions_[j]) / speed_;
-  }
-  row_[i] = out;
-  return out;
-}
-
-const TravelMatrix& TideInstance::travel_matrix() const {
-  if (!matrix_) {
-    matrix_ = std::make_shared<const TravelMatrix>(TravelMatrix::build(*this));
-  }
-  WRSN_REQUIRE(matrix_->size() == stops.size(),
-               "travel matrix does not cover the instance stops");
-  return *matrix_;
-}
-
-void TideInstance::set_travel_matrix(std::shared_ptr<const TravelMatrix> matrix) {
-  WRSN_REQUIRE(matrix != nullptr, "travel matrix must not be null");
-  WRSN_REQUIRE(matrix->size() == stops.size(),
-               "travel matrix does not cover the instance stops");
-  matrix_ = std::move(matrix);
 }
 
 void TideInstance::validate() const {

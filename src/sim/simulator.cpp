@@ -39,7 +39,8 @@ void Simulator::schedule_at(Seconds at, EventCallback fn) {
   }
   slots_[idx] = std::move(fn);
 
-  heap_push(HeapEntry{at, next_seq_++, idx});
+  heap_.push_back(HeapEntry{at, next_seq_++, idx});
+  std::push_heap(heap_.begin(), heap_.end(), later);
   note_peak();
 }
 
@@ -99,8 +100,9 @@ bool Simulator::run_next(Seconds until) {
     return true;
   }
   if (heap_.empty() || heap_.front().time > until) return false;
-  const HeapEntry top = heap_.front();
-  heap_pop_front();
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  const HeapEntry top = heap_.back();
+  heap_.pop_back();
   WRSN_ASSERT(top.time >= now_);
   // Move the callback out and free the slot *before* invoking, so the
   // callback can schedule new events, possibly into this very slot.
@@ -130,51 +132,6 @@ void Simulator::reserve(std::size_t capacity) {
   slots_.reserve(capacity);
   free_.reserve(capacity);
   heap_.reserve(capacity);
-}
-
-void Simulator::heap_push(const HeapEntry& entry) {
-  heap_.push_back(entry);
-  sift_up(heap_.size() - 1);
-}
-
-void Simulator::heap_pop_front() {
-  WRSN_ASSERT(!heap_.empty());
-  if (heap_.size() > 1) {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    sift_down(0);
-  } else {
-    heap_.pop_back();
-  }
-}
-
-void Simulator::sift_up(std::size_t i) {
-  const HeapEntry item = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!before(item, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = item;
-}
-
-void Simulator::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const HeapEntry item = heap_[i];
-  while (true) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], item)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = item;
 }
 
 }  // namespace wrsn::sim

@@ -18,8 +18,9 @@
 // Storage layout of the kernel's own events (allocation- and hash-free):
 //   * Callbacks live in a slab of reusable slots; a fired event's slot goes
 //     back on a free list before its callback runs.
-//   * The ready queue is a 4-ary implicit heap of POD entries keyed by
-//     (time, seq); callbacks stay in the slab, so heap moves copy 24 bytes.
+//   * The ready queue is a binary heap (std::push_heap / std::pop_heap) of
+//     POD entries keyed by (time, seq); callbacks stay in the slab, so heap
+//     moves copy 24 bytes.
 //   * Callbacks are type-erased into EventCallback, which stores small
 //     closures inline (no per-event heap allocation; larger ones fall back
 //     to the heap transparently).
@@ -28,7 +29,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -53,16 +53,9 @@ class EventCallback {
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, EventCallback> &&
-                !std::is_same_v<std::decay_t<F>, std::function<void()>> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventCallback(F&& fn) {  // NOLINT(google-explicit-constructor)
     emplace(std::forward<F>(fn));
-  }
-
-  /// std::function interop: an empty std::function yields an empty callback
-  /// (so null-callback preconditions keep working for legacy callers).
-  EventCallback(std::function<void()> fn) {  // NOLINT(google-explicit-constructor)
-    if (fn) emplace(std::move(fn));
   }
 
   EventCallback(EventCallback&& other) noexcept { move_from(other); }
@@ -215,9 +208,12 @@ class Simulator {
     std::uint32_t slot;
   };
 
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  /// Heap order for std::push_heap / std::pop_heap, which keep the
+  /// greatest entry in front: "greatest" is the earliest (time, seq).  The
+  /// key is unique, so the pop order never depends on the heap's shape.
+  static bool later(const HeapEntry& a, const HeapEntry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
   }
 
   /// Tracks the peak of heap entries plus queued timer nodes.
@@ -225,11 +221,6 @@ class Simulator {
     const std::size_t queued = timers_ != nullptr ? timers_->size() : 0;
     heap_peak_ = std::max(heap_peak_, heap_.size() + queued);
   }
-
-  void heap_push(const HeapEntry& entry);
-  void heap_pop_front();
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
 
   /// Fires the earliest event or timer if its time is <= `until`.
   bool run_next(Seconds until);

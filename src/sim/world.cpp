@@ -320,10 +320,6 @@ void World::add_request_listener(std::function<void(net::NodeId)> listener) {
   request_listeners_.push_back(std::move(listener));
 }
 
-void World::set_request_handler(std::function<void(net::NodeId)> handler) {
-  add_request_listener(std::move(handler));
-}
-
 void World::add_death_listener(std::function<void(net::NodeId)> listener) {
   death_listeners_.push_back(std::move(listener));
 }

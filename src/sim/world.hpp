@@ -279,8 +279,6 @@ class World {
   /// Adds a charging-service request listener.  Multi-charger fleets
   /// register one listener per vehicle and filter by territory.
   void add_request_listener(std::function<void(net::NodeId)> listener);
-  /// Convenience for the single-charger case (same as adding a listener).
-  void set_request_handler(std::function<void(net::NodeId)> handler);
   void add_death_listener(std::function<void(net::NodeId)> listener);
   void add_escalation_listener(std::function<void(net::NodeId)> listener);
 

@@ -42,8 +42,8 @@ csa::TideInstance random_tide(Rng& gen, int keys, int stops) {
 
 // ---------------------------------------------------------------------------
 // Equivalence of the optimized planner stack with the retained naive
-// reference (core/reference_planner.hpp): the slack-based RouteState, the
-// cached travel matrix, and the lazy CELF-style greedy fill are pure
+// reference (core/reference_planner.hpp): the slack-based RouteState, its
+// route-owned travel rows, and the lazy CELF-style greedy fill are pure
 // optimizations — on every instance the produced Plan must be IDENTICAL
 // (visit order, utility, completion time, key count) to the pre-optimization
 // implementation.  5 instance families x 50 seeds = 250 instances, covering

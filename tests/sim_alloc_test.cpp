@@ -11,14 +11,13 @@
 //
 // The same guarantee is pinned for the planners (CsaPlanner::plan_into and
 // the fleet replan run on arenas reused across calls).  The counter also
-// sums the bytes requested, which bounds what a large plan's travel matrix
-// holds.
+// sums the bytes requested, which bounds what a large plan's travel rows
+// hold.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <thread>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "common/rng.hpp"
 #include "core/fleet_planner.hpp"
 #include "core/planners.hpp"
+#include "core/route_state.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 #include "sim/world.hpp"
@@ -216,7 +216,6 @@ TEST(PlannerAllocation, CsaPlanIsAllocationFreeAfterWarmup) {
   for (std::size_t i = 0; i < 410; ++i) {
     inst.stops.push_back(random_stop(gen, i, i < 10));
   }
-  inst.travel_matrix();  // the matrix cache belongs to the instance
 
   const csa::CsaPlanner planner;
   Rng rng(1);
@@ -261,9 +260,9 @@ TEST(PlannerAllocation, FleetReplanIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(g_allocations, 0u);
 }
 
-// The replan loop as the attacker runs it — the instance's travel matrix
-// rebound in place on the agent's arena, then plan_into — over a stop set
-// that shrinks and grows back (requests served, then new ones raised).
+// The replan loop as the attacker runs it — the instance's stops rebuilt in
+// place, then plan_into — over a stop set that shrinks and grows back
+// (requests served, then new ones raised).
 // Storage sized by the large warmup must serve the small pass and the
 // large pass again without a single allocation, on both planners.
 TEST(PlannerAllocation, ReplansStayAllocationFreeAcrossLargeSmallLarge) {
@@ -282,14 +281,11 @@ TEST(PlannerAllocation, ReplansStayAllocationFreeAcrossLargeSmallLarge) {
   csa::TideInstance inst;
   inst.start_position = {0.0, 0.0};
   inst.speed = 3.0;
-  const auto matrix = std::make_shared<csa::TravelMatrix>();
   const csa::CsaPlanner planner;
   Rng rng(1);
   csa::Plan plan;
   const auto replan = [&](const std::vector<csa::Stop>& stops) {
     inst.stops.assign(stops.begin(), stops.end());
-    matrix->rebuild(inst);
-    inst.set_travel_matrix(std::shared_ptr<const csa::TravelMatrix>(matrix));
     planner.plan_into(inst, rng, plan);
     return plan.utility;
   };
@@ -333,11 +329,11 @@ TEST(PlannerAllocation, ReplansStayAllocationFreeAcrossLargeSmallLarge) {
   EXPECT_EQ(f_large, large_fleet_utility);
 }
 
-// A 1,610-stop plan holds the matrix rows its route fills, not an n x n
-// block (20.7 MB at this size).  The planner's arenas are warmed on the same
-// stops first, so the bytes counted below are the fresh matrix's: its O(n)
-// snapshot (positions 16 B, start row 8 B and row table 8 B a stop) plus
-// one n-cell buffer per row filled.
+// A 1,610-stop plan holds the travel rows its route fills, not an n x n
+// block (20.7 MB at this size).  A fresh RouteState inserts the plan's
+// visits in order, so the bytes counted below are its own: the start row
+// (8 B a stop), one n-cell buffer per row filled, and the route arrays and
+// pool table (a few words per route stop).
 TEST(PlannerAllocation, LargePlanMatrixBytesScaleWithRowsFilled) {
   constexpr std::size_t kStops = 1'610;
   Rng gen(42);
@@ -350,19 +346,18 @@ TEST(PlannerAllocation, LargePlanMatrixBytesScaleWithRowsFilled) {
   const csa::CsaPlanner planner;
   Rng rng(1);
   csa::Plan plan;
-  planner.plan_into(inst, rng, plan);  // warmup sizes every planner arena
-  const double warm_utility = plan.utility;
+  planner.plan_into(inst, rng, plan);
 
   g_bytes = 0;
   g_counting = true;
-  const auto matrix = std::make_shared<csa::TravelMatrix>();
-  matrix->rebuild(inst);
-  inst.set_travel_matrix(std::shared_ptr<const csa::TravelMatrix>(matrix));
-  planner.plan_into(inst, rng, plan);
+  csa::RouteState route(inst);
+  for (const csa::Visit& v : plan.visits) {
+    route.insert(v.stop_index, route.order().size());
+  }
   g_counting = false;
 
-  EXPECT_EQ(plan.utility, warm_utility);
-  const std::size_t rows = matrix->rows_filled();
+  EXPECT_EQ(route.to_plan().utility, plan.utility);
+  const std::size_t rows = route.order().size();
   EXPECT_GT(rows, 0u);
   EXPECT_LT(rows, kStops / 4);
   const std::size_t row_bytes = kStops * sizeof(Seconds);

@@ -127,8 +127,7 @@ TEST(Simulator, SchedulingInThePastThrows) {
 
 TEST(Simulator, NullCallbackThrows) {
   Simulator sim;
-  EXPECT_THROW(sim.schedule_at(1.0, std::function<void()>{}),
-               PreconditionError);
+  EXPECT_THROW(sim.schedule_at(1.0, EventCallback{}), PreconditionError);
 }
 
 TEST(Simulator, StepExecutesOneEvent) {
@@ -265,7 +264,7 @@ TEST(World, RequestFiresAtBelievedThresholdCrossing) {
   Simulator sim;
   World world(sim, line2(), small_params(), Rng(1));
   std::vector<std::pair<Seconds, NodeId>> requests;
-  world.set_request_handler([&](NodeId id) {
+  world.add_request_listener([&](NodeId id) {
     requests.emplace_back(sim.now(), id);
   });
   // drain ~1 W, threshold 300 J -> crossing at ~700 s.
@@ -281,7 +280,7 @@ TEST(World, PredictedRequestMatchesActual) {
   Simulator sim;
   World world(sim, line2(), small_params(), Rng(1));
   Seconds fired = -1.0;
-  world.set_request_handler([&](NodeId id) {
+  world.add_request_listener([&](NodeId id) {
     if (id == 0 && fired < 0.0) fired = sim.now();
   });
   const Seconds predicted = world.predicted_request(0);
@@ -322,7 +321,7 @@ TEST(World, ServiceCancelsEscalationAndCreditsBelief) {
   bool escalated = false;
   world.add_escalation_listener([&](NodeId) { escalated = true; });
   NodeId requester = net::kInvalidNode;
-  world.set_request_handler([&](NodeId id) {
+  world.add_request_listener([&](NodeId id) {
     if (requester == net::kInvalidNode) requester = id;
   });
   sim.run_until(710.0);
@@ -346,7 +345,7 @@ TEST(World, SpoofedServiceLeavesBelievedInflated) {
   Simulator sim;
   World world(sim, line2(), small_params(), Rng(1));
   NodeId requester = net::kInvalidNode;
-  world.set_request_handler([&](NodeId id) {
+  world.add_request_listener([&](NodeId id) {
     if (requester == net::kInvalidNode) requester = id;
   });
   sim.run_until(710.0);
@@ -429,7 +428,7 @@ TEST(World, MinRequestGapRateLimitsReRequests) {
   // Serve node 1 with zero energy (spoof-like) each time it asks; it can
   // only re-ask after the gap.
   std::vector<Seconds> requests;
-  world.set_request_handler([&](NodeId id) {
+  world.add_request_listener([&](NodeId id) {
     if (id != 1) return;
     requests.push_back(sim.now());
     world.note_service_started(id);
@@ -448,7 +447,7 @@ TEST(World, EmergencyDefenseFiresOnTrueLevel) {
   params.emergency_fraction = 0.10;
   World world(sim, line2(), params, Rng(1));
   NodeId requester = net::kInvalidNode;
-  world.set_request_handler([&](NodeId id) {
+  world.add_request_listener([&](NodeId id) {
     if (requester == net::kInvalidNode) requester = id;
     // Spoof every normal request so believed stays high.
     world.note_service_started(id);
@@ -465,7 +464,7 @@ TEST(World, EmergencyDefenseFiresOnTrueLevel) {
 TEST(World, NoEmergencyWhenDisabled) {
   Simulator sim;
   World world(sim, line2(), small_params(), Rng(1));
-  world.set_request_handler([&](NodeId id) {
+  world.add_request_listener([&](NodeId id) {
     world.note_service_started(id);
     world.note_service_ended(id, 700.0, 0.0);
   });

@@ -201,7 +201,7 @@ TEST(TheoryVsSim, RequestCycleMatchesSimulatedReRequest) {
   const Watts drain = world.drain_rate(1);
 
   std::vector<Seconds> request_times;
-  world.set_request_handler([&](net::NodeId id) {
+  world.add_request_listener([&](net::NodeId id) {
     if (id != 1) return;
     request_times.push_back(sim.now());
     // Serve instantly and perfectly to the target fraction.

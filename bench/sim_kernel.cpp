@@ -1,8 +1,8 @@
 // Event-kernel and world-update performance: the cost of death cascades
 // under the incremental (Fast) updater versus the full-rebuild Reference
-// path, routing repair replayed over a benign mission's deaths, the
-// kernel's schedule/cancel churn rate, an end-to-end fig5
-// exhaustion trial under both modes, the whole-network graph stages
+// path, routing repair replayed over a benign mission's deaths, one full
+// routing rebuild, the kernel's schedule/cancel churn rate, an end-to-end
+// fig5 exhaustion trial under both modes, the whole-network graph stages
 // (topology generation, key-node survey, post-mission report), and whole
 // attack/benign missions at N = 100 / 1.6k / 10k (BM_Mission).
 //
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "analysis/scenario.hpp"
+#include "common/bitset.hpp"
 #include "common/rng.hpp"
 #include "core/planners.hpp"
 #include "core/report.hpp"
@@ -327,6 +328,37 @@ BENCHMARK(BM_WorldRepairReplay)
     ->Arg(1'600)
     ->Arg(10'000)
     ->Unit(benchmark::kMillisecond);
+
+// One full routing rebuild over the BM_Mission deployment (perfbench's
+// benign-10k geometry at N = 10k) with every node alive, through a warm
+// RoutingScratch: the bucket-frontier Dijkstra alone, no loads or drains.
+// `time_per_node` is the time per settled node.
+void BM_RoutingRebuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const analysis::ScenarioConfig cfg = mission_config(n);
+  const net::Network network = mission_network(cfg);
+  const Bitmap alive(n, true);
+  net::RoutingTree tree;
+  net::RoutingScratch scratch;
+  scratch.reserve(n);
+  net::rebuild_routing_tree(network, alive, cfg.world.routing, tree, scratch);
+  for (auto _ : state) {
+    net::rebuild_routing_tree(network, alive, cfg.world.routing, tree,
+                              scratch);
+    benchmark::DoNotOptimize(tree.settle_order.data());
+    benchmark::ClobberMemory();
+  }
+  const double settled = double(tree.settle_order.size());
+  state.counters["settled"] = settled;
+  state.counters["time_per_node"] = benchmark::Counter(
+      settled, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RoutingRebuild)
+    ->ArgName("nodes")
+    ->Arg(1'600)
+    ->Arg(10'000)
+    ->Unit(benchmark::kMicrosecond);
 
 // Kernel churn: steady state with `range` pending events, one fire and one
 // schedule per op — the pattern of vehicles, faults and mobility epochs,

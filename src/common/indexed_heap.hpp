@@ -6,10 +6,9 @@
 // in place (decrease- or increase-key) instead of queueing a duplicate: the
 // heap holds at most one entry per id and never pops a stale one.
 //
-// Two users share it: the routing Dijkstra's frontier (`net::FrontierHeap`,
-// keyed by path cost) and the world's per-node timer queue
-// (`sim::NodeTimerQueue`, keyed by (time, seq)).  `Key` needs `<` and `!=`
-// forming a strict weak order over the keys in use.
+// The world's per-node timer queue (`sim::NodeTimerQueue`, keyed by
+// (time, seq)) uses it.  `Key` needs `<` and `!=` forming a strict weak
+// order over the keys in use.
 #pragma once
 
 #include <algorithm>

@@ -20,13 +20,25 @@
 //     passes over the tree, and the loads and drains that follow are a
 //     full recompute_loads + recompute_drain_rates: a death costs the
 //     subtree's Dijkstra plus O(N) linear passes.
+//
+// Both Dijkstras settle from monotone cost buckets (Dial's bucket queue,
+// `CostBuckets`) rather than a heap.  Every edge costs at least hop_cost,
+// so with buckets hop_cost/2 wide a settle never pushes into the bucket
+// being settled: its labels are final once the stale ones (a cost above
+// the node's path_cost) are dropped, and one sort by (cost, id) settles
+// them in the order a (cost, id) heap pops.  A positive hop_cost is a
+// precondition.  Relaxation scans a node's neighbours without a branch per
+// edge: each neighbour writes a candidate slot, the slot cursor advances
+// only past an open (unsettled, relaxable) neighbour whose cost strictly
+// improves, and the winners are applied in neighbour order, so the first
+// strict minimum still sets each parent.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/bitset.hpp"
-#include "common/indexed_heap.hpp"
 #include "common/units.hpp"
 #include "energy/radio.hpp"
 #include "net/network.hpp"
@@ -36,7 +48,7 @@ namespace wrsn::net {
 /// Routing cost parameters.
 struct RoutingParams {
   /// Distance-squared-equivalent cost of one hop [m^2]; default matches
-  /// 2*e_elec/e_amp of the first-order radio model.
+  /// 2*e_elec/e_amp of the first-order radio model.  Must be positive.
   double hop_cost = 1'000.0;
 };
 
@@ -55,21 +67,82 @@ struct RoutingTree {
   std::vector<double> path_cost;
 };
 
-/// Dijkstra frontier keyed by (cost, id), the same total order a full
-/// rebuild settles in; a relaxation lowers a queued node's key in place.
-using FrontierHeap = IndexedHeap<double>;
+/// Dijkstra frontier over monotone cost buckets.  Bucket k holds the
+/// labels (cost, id) whose cost lies in [k, k+1) * hop_cost/2.  A relaxation
+/// pushes a new label and leaves the node's older, higher one in place; a
+/// label is live while its cost equals the node's path_cost.
+///
+/// Memory is O(N) for any finite hop cost and edge length: a fixed ring of
+/// `kRing` bucket heads covers the buckets just above the lowest, labels
+/// beyond it wait in an overflow min-heap ordered by (cost, id) and move
+/// into the ring as it advances, and the label pool grows to its
+/// high-water mark, dropping stale labels once it reaches 2N.  Buckets
+/// past 2^50 cannot be told apart in double precision; the overflow then
+/// settles one label at a time in (cost, id) order.
+class CostBuckets {
+ public:
+  struct Label {
+    double cost;
+    NodeId id;
+  };
+
+  /// Empties the frontier for costs of at least `lowest`, in buckets
+  /// `hop_cost`/2 wide (`hop_cost` > 0).
+  void reset(double hop_cost, double lowest);
+
+  /// Queues `id` at `cost`, which is `path_cost[id]` and at least every
+  /// cost already popped.
+  void push(NodeId id, double cost, const std::vector<double>& path_cost);
+
+  /// Replaces `batch` with the lowest bucket's live labels sorted by
+  /// (cost, id); returns false once nothing is queued.  The batch may be
+  /// empty when every label of the bucket was stale.
+  bool pop_lowest(const std::vector<double>& path_cost,
+                  std::vector<Label>& batch);
+
+ private:
+  static constexpr std::size_t kRing = 1024;  // a power of two
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr std::uint64_t kFar = ~std::uint64_t{0};
+  struct Entry {
+    double cost;
+    NodeId id;
+    std::uint32_t next;  ///< next entry of the same bucket, or kNil
+  };
+
+  std::uint64_t bucket_of(double cost) const;
+  void link(NodeId id, double cost, std::uint64_t bucket,
+            const std::vector<double>& path_cost);
+  void migrate(const std::vector<double>& path_cost);
+  void drop_stale(const std::vector<double>& path_cost);
+
+  double per_bucket_ = 0.0;     ///< 2 / hop_cost
+  std::uint64_t cursor_ = 0;    ///< lowest bucket that may hold a label
+  std::size_t ring_labels_ = 0;
+  std::array<std::uint32_t, kRing> heads_{};
+  std::vector<Entry> pool_;
+  std::uint32_t free_ = kNil;   ///< free-list head in pool_
+  std::vector<Label> overflow_;  ///< min-heap by (cost, id)
+};
 
 /// Reusable working memory for routing rebuilds and repairs.  Keeping one of
 /// these per World means zero allocations per rebuild after warmup.
 struct RoutingScratch {
-  FrontierHeap frontier;               ///< Dijkstra frontier
-  std::vector<char> affected;          ///< repair: subtree mask
+  CostBuckets buckets;                 ///< Dijkstra frontier
+  std::vector<CostBuckets::Label> batch;  ///< one bucket's live labels
+  std::vector<std::uint32_t> candidates;  ///< one node's improving edges
+  /// Per node: closed (dead, or outside the repaired subtree), boundary
+  /// (repair: a reachable neighbour of the subtree), open (may still be
+  /// relaxed) or settled by this rebuild or repair.
+  std::vector<char> state;
   std::vector<NodeId> affected_ids;    ///< repair: subtree members
+  std::vector<NodeId> boundary;        ///< repair: the subtree's boundary
   std::vector<NodeId> repaired_order;  ///< repair: re-settle order
   std::vector<NodeId> merged_order;    ///< repair: merged settle order
 
-  /// Pre-sizes every buffer for a network of `n` nodes, so later rebuilds
-  /// and repairs never allocate.
+  /// Pre-sizes the per-node buffers for a network of `n` nodes; the label
+  /// pool, batch and candidate buffers grow to their high-water marks on
+  /// the first rebuilds and repairs.
   void reserve(std::size_t n);
 };
 
@@ -87,8 +160,7 @@ void rebuild_routing_tree(const Network& network, const Bitmap& alive,
 /// Patches `tree` in place after node `dead` (already cleared in `alive`)
 /// died, by re-running Dijkstra over the dead node's routing subtree seeded
 /// from the surviving frontier.  Produces the same tree a full rebuild would
-/// (identical parents, costs, and settle order, up to exact-cost ties along
-/// zero-cost edges, which a positive hop_cost rules out).  Returns the
+/// (identical parents, costs, and settle order).  Returns the
 /// number of nodes detached and re-settled: 1 + the dead node's subtree
 /// size, or 0 when the dead node was unreachable (no other path can change,
 /// and neither can any load).

@@ -56,6 +56,7 @@ enum class Metric : std::uint16_t {
   /// routing repair detached and re-settled, (1 + subtree size) / N; 0 when
   /// the dead node was already unreachable
   kNetRepairAffectedFraction,
+  kNetRoutingNs,  ///< timing histogram: one routing rebuild or repair
   kWorldDeaths,
   kWorldRequests,
   kWorldEscalations,
@@ -170,6 +171,7 @@ inline constexpr std::array<MetricDef, kMetricCount> kDefTable{{
     counter("net.routing_rebuilds"),
     counter("net.drain_reschedules"),
     hist("net.repair_affected_fraction", 0.0, 1.0, 20, false),
+    timing_ns("net.routing_ns"),
     counter("world.deaths"),
     counter("world.requests"),
     counter("world.escalations"),
@@ -218,6 +220,9 @@ static_assert(kDefTable[std::size_t(Metric::kSimEventsScheduled)].name ==
               "sim.events_scheduled");
 static_assert(kDefTable[std::size_t(Metric::kSimHeapPeak)].kind ==
               MetricKind::kGaugeMax);
+static_assert(kDefTable[std::size_t(Metric::kNetRoutingNs)].name ==
+              "net.routing_ns");
+static_assert(kDefTable[std::size_t(Metric::kNetRoutingNs)].timing);
 static_assert(kDefTable[std::size_t(Metric::kNetTopologyAttempts)].name ==
               "net.topology_attempts");
 static_assert(kDefTable[std::size_t(Metric::kCsaPlanNs)].timing);

@@ -41,6 +41,7 @@ void WorldParams::validate() const {
       {"emergency_fraction", emergency_fraction},
       {"emergency_patience", emergency_patience},
       {"hardware_mtbf", hardware_mtbf},
+      {"routing.hop_cost", routing.hop_cost},
   };
   for (const auto& [name, value] : reals) {
     if (!std::isfinite(value)) {
@@ -71,6 +72,9 @@ void WorldParams::validate() const {
   }
   if (emergency_patience <= 0.0) throw ConfigError("emergency_patience <= 0");
   if (hardware_mtbf < 0.0) throw ConfigError("hardware_mtbf < 0");
+  if (routing.hop_cost <= 0.0) {
+    throw ConfigError("routing.hop_cost must be > 0");
+  }
   charging.validate();
   drain.radio.validate();
   mobility.validate();

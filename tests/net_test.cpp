@@ -835,51 +835,6 @@ TEST(Routing, SettleOrderIsTopological) {
   }
 }
 
-TEST(Routing, FrontierPopsInCostIdOrderUnderDecreaseKey) {
-  // Random pushes and decrease-keys, checked pop by pop against an ordered
-  // set of (cost, id).  Costs come from a small integer grid so exact-cost
-  // ties, which the id must break, are common.
-  constexpr std::size_t kIds = 300;
-  Rng rng(5);
-  FrontierHeap frontier;
-  for (int round = 0; round < 3; ++round) {
-    // Later rounds reset a heap that the previous round left non-empty.
-    frontier.reset(kIds);
-    std::set<std::pair<double, NodeId>> model;
-    std::vector<double> queued(kIds, -1.0);  // -1: not queued
-    for (int op = 0; op < 4'000; ++op) {
-      const auto id = static_cast<NodeId>(rng.uniform_int(0, kIds - 1));
-      const double roll = rng.uniform();
-      if (roll < 0.3 && !model.empty()) {
-        const FrontierHeap::Entry top = frontier.pop();
-        ASSERT_EQ(std::make_pair(top.key, top.id), *model.begin());
-        queued[top.id] = -1.0;
-        model.erase(model.begin());
-      } else if (queued[id] < 0.0) {
-        const double cost = double(rng.uniform_int(0, 50));
-        frontier.push_or_decrease(id, cost);
-        queued[id] = cost;
-        model.insert({cost, id});
-      } else if (queued[id] > 0.0) {
-        const double cost = double(rng.uniform_int(0, int(queued[id]) - 1));
-        frontier.push_or_decrease(id, cost);
-        model.erase({queued[id], id});
-        queued[id] = cost;
-        model.insert({cost, id});
-      }
-    }
-    if (round == 2) {
-      std::vector<std::pair<double, NodeId>> popped;
-      while (!frontier.empty()) {
-        const FrontierHeap::Entry top = frontier.pop();
-        popped.emplace_back(top.key, top.id);
-      }
-      EXPECT_TRUE(std::equal(popped.begin(), popped.end(), model.begin(),
-                             model.end()));
-    }
-  }
-}
-
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -994,6 +949,203 @@ TEST(Routing, RepairMatchesFullRebuildAt1600Nodes) {
 TEST(Routing, RepairMatchesFullRebuildAt10000Nodes) {
   const Network network = calibrated_network(10'000, 80.0, 42);
   check_repair_against_rebuild(network, 100, 2);
+}
+
+/// Textbook Dijkstra over an ordered set of (cost, id), sharing no code
+/// with the routing frontier: the oracle that rebuild_routing_tree and
+/// repair_routing_after_death must match bit for bit.  Sink uplinks seed
+/// first, in sink_neighbors() order; a relaxation must be strictly cheaper;
+/// nodes settle in ascending (cost, id).
+RoutingTree oracle_routing_tree(const Network& network, const Bitmap& alive,
+                                double hop_cost) {
+  const std::size_t n = network.size();
+  RoutingTree tree;
+  tree.parent.assign(n, kInvalidNode);
+  tree.reachable.assign(n, false);
+  tree.uplink_distance.assign(n, 0.0);
+  tree.path_cost.assign(n, std::numeric_limits<double>::infinity());
+  std::set<std::pair<double, NodeId>> queue;
+  const auto relax = [&](NodeId v, double cost, NodeId parent, Meters d) {
+    if (!alive[v] || tree.reachable[v] || !(cost < tree.path_cost[v])) return;
+    queue.erase({tree.path_cost[v], v});
+    tree.path_cost[v] = cost;
+    tree.parent[v] = parent;
+    tree.uplink_distance[v] = d;
+    queue.insert({cost, v});
+  };
+  for (const NodeId id : network.sink_neighbors()) {
+    const Meters d = network.distance_to_sink(id);
+    relax(id, hop_cost + d * d, kInvalidNode, d);
+  }
+  while (!queue.empty()) {
+    const auto [cost, u] = *queue.begin();
+    queue.erase(queue.begin());
+    tree.reachable.set(u);
+    tree.settle_order.push_back(u);
+    const auto nbrs = network.neighbors(u);
+    const auto dist = network.neighbor_distances(u);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      relax(nbrs[k], cost + hop_cost + dist[k] * dist[k], u, dist[k]);
+    }
+  }
+  return tree;
+}
+
+void expect_oracle_tree(const RoutingTree& tree, const RoutingTree& oracle) {
+  ASSERT_EQ(tree.settle_order, oracle.settle_order);
+  ASSERT_EQ(tree.parent, oracle.parent);
+  ASSERT_TRUE(tree.reachable == oracle.reachable);
+  ASSERT_TRUE(same_bits(tree.path_cost, oracle.path_cost));
+  ASSERT_TRUE(same_bits(tree.uplink_distance, oracle.uplink_distance));
+}
+
+/// Rebuilds over `alive`, then kills up to `deaths` nodes one at a time,
+/// repairing after each.  After the rebuild and after every repair the tree
+/// must equal the oracle's over the same mask.  The first death takes the
+/// root of the largest subtree; after it, seven deaths in ten take a random
+/// reachable node and the rest a random alive node, possibly one already
+/// cut off.
+void check_against_oracle(const Network& network, Bitmap alive,
+                          double hop_cost, std::size_t deaths,
+                          std::uint64_t seed) {
+  const std::size_t n = network.size();
+  RoutingParams params;
+  params.hop_cost = hop_cost;
+  RoutingTree tree;
+  RoutingScratch scratch;
+  scratch.reserve(n);
+  rebuild_routing_tree(network, alive, params, tree, scratch);
+  {
+    SCOPED_TRACE("rebuild");
+    expect_oracle_tree(tree, oracle_routing_tree(network, alive, hop_cost));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  Rng rng(seed);
+  std::size_t repaired = 0;
+  for (std::size_t k = 0; k < deaths && alive.count() > 0; ++k) {
+    NodeId victim = kInvalidNode;
+    if (k == 0) {
+      victim = largest_subtree_root(tree);
+    } else if (k % 10 < 7 && !tree.settle_order.empty()) {
+      victim = tree.settle_order[std::size_t(rng.uniform_int(
+          0, std::int64_t(tree.settle_order.size()) - 1))];
+    }
+    while (victim == kInvalidNode || !alive[victim]) {
+      victim = static_cast<NodeId>(rng.uniform_int(0, std::int64_t(n) - 1));
+    }
+    alive.reset(victim);
+    if (repair_routing_after_death(network, alive, params, victim, tree,
+                                   scratch) > 0) {
+      ++repaired;
+    }
+    SCOPED_TRACE("death " + std::to_string(k) + " (node " +
+                 std::to_string(victim) + ")");
+    expect_oracle_tree(tree, oracle_routing_tree(network, alive, hop_cost));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GE(repaired, deaths / 2);
+}
+
+/// `n` random positions in a `side` x `side` square.
+Network scattered_network(std::size_t n, Meters side, Vec2 sink,
+                          Meters comm_range, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<SensorSpec> nodes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes[i].id = static_cast<NodeId>(i);
+    nodes[i].position = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+  }
+  return Network(std::move(nodes), sink, comm_range);
+}
+
+/// Each node independently dead with probability `p`.
+Bitmap holed_mask(std::size_t n, double p, std::uint64_t seed) {
+  Rng rng(seed);
+  Bitmap alive(n, true);
+  for (NodeId id = 0; id < n; ++id) {
+    if (rng.bernoulli(p)) alive.reset(id);
+  }
+  return alive;
+}
+
+TEST(Routing, MatchesSetDijkstraOracleOnUniformDeploymentsWithHoles) {
+  for (const std::uint64_t seed : {3, 11, 29}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Network network = calibrated_network(900, 65.0, seed);
+    check_against_oracle(network, holed_mask(900, 0.1, seed), 1'000.0, 90,
+                         seed);
+    check_against_oracle(network, holed_mask(900, 0.1, seed), 25.0, 30,
+                         seed + 1);
+  }
+}
+
+TEST(Routing, MatchesSetDijkstraOracleOnIntegerLatticeTies) {
+  // A 24 x 24 lattice 10 m apart with ids dealt in shuffled order, the
+  // sink at a cell centre: every axis edge costs hop_cost + 100 exactly, so
+  // whole rings of nodes share one path cost and only the id orders them.
+  // The diagonal radius adds a second, equal-for-all edge length.
+  constexpr std::size_t kSide = 24;
+  for (const Meters comm_range : {10.5, 14.5}) {
+    SCOPED_TRACE("comm_range " + std::to_string(comm_range));
+    Rng rng(17);
+    std::vector<Vec2> points;
+    for (std::size_t i = 0; i < kSide; ++i) {
+      for (std::size_t j = 0; j < kSide; ++j) {
+        points.push_back({10.0 * double(i), 10.0 * double(j)});
+      }
+    }
+    rng.shuffle(points);
+    std::vector<SensorSpec> nodes(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      nodes[i].id = static_cast<NodeId>(i);
+      nodes[i].position = points[i];
+    }
+    const Network network(std::move(nodes), {115.0, 115.0}, comm_range);
+    check_against_oracle(network, Bitmap(points.size(), true), 1'000.0, 60,
+                         5);
+    check_against_oracle(network, holed_mask(points.size(), 0.05, 7),
+                         1'000.0, 60, 6);
+  }
+}
+
+TEST(Routing, MatchesSetDijkstraOracleWhenEveryNodeIsInRange) {
+  // A 100 km radio over a 20 km field: every node neighbours every other,
+  // and the sink, 85 km west of the field, reaches most of them over
+  // edges costing ~1e10, so trees run deep through node-to-node edges of
+  // up to ~8e8.  The hop costs sweep the frontier's regimes: labels
+  // thousands of ring widths apart (1000), a handful of wide buckets
+  // holding every label (1e9), and bucket indices past 2^50, where labels
+  // settle one at a time (1e-300).
+  const Network network =
+      scattered_network(160, 20'000.0, {-85'000.0, 10'000.0}, 1e5, 23);
+  ASSERT_EQ(network.neighbors(0).size(), 159u);
+  ASSERT_GT(network.sink_neighbors().size(), 80u);
+  for (const double hop_cost : {1'000.0, 1e9, 1e-300}) {
+    SCOPED_TRACE("hop_cost " + std::to_string(hop_cost));
+    check_against_oracle(network, Bitmap(160, true), hop_cost, 40, 9);
+    check_against_oracle(network, holed_mask(160, 0.2, 4), hop_cost, 40, 10);
+  }
+}
+
+TEST(Routing, RejectsNonPositiveHopCost) {
+  const Network net = make_line(4);
+  RoutingTree tree;
+  RoutingScratch scratch;
+  Bitmap alive(4, true);
+  for (const double hop_cost :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    RoutingParams params;
+    params.hop_cost = hop_cost;
+    EXPECT_THROW(rebuild_routing_tree(net, alive, params, tree, scratch),
+                 PreconditionError);
+  }
+  rebuild_routing_tree(net, alive, {}, tree, scratch);
+  alive.reset(1);
+  RoutingParams zero;
+  zero.hop_cost = 0.0;
+  EXPECT_THROW(
+      repair_routing_after_death(net, alive, zero, 1, tree, scratch),
+      PreconditionError);
 }
 
 TEST(Loads, LineAggregatesDownstreamTraffic) {

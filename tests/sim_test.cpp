@@ -556,6 +556,29 @@ TEST(World, ParamsRejectNonFiniteValues) {
   }
 }
 
+// routing.hop_cost is checked by WorldParams::validate(), so a bad value
+// fails as a ConfigError before the world builds its first routing tree
+// (which needs a positive hop cost).
+void expect_hop_cost_rejected(double hop_cost) {
+  WorldParams params = small_params();
+  params.routing.hop_cost = hop_cost;
+  EXPECT_THROW(params.validate(), ConfigError);
+  Simulator sim;
+  EXPECT_THROW(World(sim, line2(), params, Rng(1)), ConfigError);
+}
+
+TEST(World, ParamsRejectNanHopCost) {
+  expect_hop_cost_rejected(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(World, ParamsRejectInfiniteHopCost) {
+  expect_hop_cost_rejected(std::numeric_limits<double>::infinity());
+}
+
+TEST(World, ParamsRejectZeroHopCost) { expect_hop_cost_rejected(0.0); }
+
+TEST(World, ParamsRejectNegativeHopCost) { expect_hop_cost_rejected(-1.0); }
+
 TEST(World, PlannedSessionHelpersAreConsistent) {
   Simulator sim;
   World world(sim, line2(), small_params(), Rng(1));

@@ -582,34 +582,44 @@ BENCHMARK(BM_Mission)
 // back and the reported (manual) time is the instrumented arm, so machine
 // drift across the run cancels instead of masquerading as overhead (a ~1 ms
 // trial measured in two sequential benchmark rows shows ±5 % swings from
-// drift alone on a busy host).  `overhead_pct` is the paired relative
-// slowdown; the acceptance bound for the PR that added src/obs/ is < 3 %.
-// (With no registry the macros cost one thread-local load and branch per
-// write; building with -DWRSN_OBS=0 removes even the branch.)
+// drift alone on a busy host).  The arms alternate which runs first, so the
+// cost of running second (or first) falls on both equally.
+// `overhead_pct` is the paired relative slowdown; the acceptance bound for
+// the PR that added src/obs/ is < 3 %.  (With no registry the macros cost
+// one thread-local load and branch per write; building with -DWRSN_OBS=0
+// removes even the branch.)
 void BM_Fig5TrialObs(benchmark::State& state) {
   analysis::ScenarioConfig cfg = analysis::default_scenario();
   cfg.seed = 42;
   double base_seconds = 0.0;
   double obs_seconds = 0.0;
   double events_fired = 0.0;
-  for (auto _ : state) {
+  const auto run_arm = [&](obs::MetricRegistry* registry) {
     const auto t0 = std::chrono::steady_clock::now();
     {
+      obs::ScopedRegistry scope(registry);
       const analysis::ScenarioResult result =
           analysis::run_mission(cfg, analysis::ChargerMode::Attack);
       benchmark::DoNotOptimize(result.alive_at_end);
     }
-    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  bool base_first = true;
+  for (auto _ : state) {
     obs::MetricRegistry registry;
-    {
-      obs::ScopedRegistry scope(&registry);
-      const analysis::ScenarioResult result =
-          analysis::run_mission(cfg, analysis::ChargerMode::Attack);
-      benchmark::DoNotOptimize(result.alive_at_end);
+    double base_iter = 0.0;
+    double obs_iter = 0.0;
+    if (base_first) {
+      base_iter = run_arm(nullptr);
+      obs_iter = run_arm(&registry);
+    } else {
+      obs_iter = run_arm(&registry);
+      base_iter = run_arm(nullptr);
     }
-    const auto t2 = std::chrono::steady_clock::now();
-    base_seconds += std::chrono::duration<double>(t1 - t0).count();
-    const double obs_iter = std::chrono::duration<double>(t2 - t1).count();
+    base_first = !base_first;
+    base_seconds += base_iter;
     obs_seconds += obs_iter;
     state.SetIterationTime(obs_iter);
     events_fired = registry.value(obs::Metric::kSimEventsFired);

@@ -95,7 +95,9 @@ class FleetPlanner {
 
 /// The production fleet planner (phases A-E above) on the slack-based
 /// RouteState.  Each charger's route computes the travel rows of its own
-/// stops, so a plan holds only the rows of stops that enter some route.
+/// stops, so a plan holds only the rows of stops that enter some route,
+/// and fills each row only in the columns its scans read: an auction bid
+/// or a cell fill computes a candidate's legs to that route's stops.
 ///
 /// Same thread-affinity rule as csa::Planner (mutable arenas: one thread
 /// at a time).

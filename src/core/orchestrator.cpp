@@ -35,7 +35,8 @@ CsaStrategy::CsaStrategy(sim::World& world, const AttackParams& params,
     : world_(world),
       params_(params),
       planner_(planner),
-      rng_(std::move(rng)) {
+      rng_(std::move(rng)),
+      key_set_(world.network().size()) {
   params_.validate();
   emitter_.emplace(world_.charging_model(), params_.spoofing);
   // fork() is const — the policy stream never advances rng_, so the static
@@ -96,7 +97,7 @@ void CsaStrategy::on_start(mc::Vehicle& vehicle) {
       key_targets_.push_back(id);
     }
   }
-  key_set_.insert(key_targets_.begin(), key_targets_.end());
+  for (const net::NodeId id : key_targets_) key_set_.set(id);
   log(LogLevel::Info) << "CSA attacker selected " << key_targets_.size()
                       << " key targets";
 }

@@ -18,6 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/bitset.hpp"
 #include "common/rng.hpp"
 #include "core/planners.hpp"
 #include "mc/vehicle.hpp"
@@ -133,9 +134,7 @@ class CsaStrategy final : public mc::Strategy {
                             Joules deficit) override;
 
  private:
-  bool is_key(net::NodeId id) const {
-    return key_set_.find(id) != key_set_.end();
-  }
+  bool is_key(net::NodeId id) const { return key_set_.test(id); }
 
   /// Deaths (scheduled kills + observed background deaths) in the worst
   /// pace_window interval a kill at `death_at` would join, that kill
@@ -162,7 +161,8 @@ class CsaStrategy final : public mc::Strategy {
   std::unique_ptr<policy::AttackPolicy> policy_;
 
   std::vector<net::NodeId> key_targets_;
-  std::unordered_set<net::NodeId> key_set_;
+  /// key_targets_ as a membership mask over the network's node ids.
+  Bitmap key_set_;
   /// Predicted death times of keys already spoofed plus observed deaths of
   /// other nodes (kill pacing state).
   std::vector<Seconds> kill_schedule_;

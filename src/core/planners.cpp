@@ -63,6 +63,7 @@ void fill_utility_greedy(const TideInstance& instance, RouteState& route,
 
 CsaPlanner::~CsaPlanner() {
   WRSN_OBS_ADD(kCsaInsertionsTried, double(insertions_tried_));
+  WRSN_OBS_ADD(kCsaTravelCells, double(route_.travel_cells()));
 }
 
 Plan CsaPlanner::plan(const TideInstance& instance, Rng& rng) const {
@@ -94,6 +95,7 @@ Plan UtilityFirstPlanner::plan(const TideInstance& instance, Rng& rng) const {
   fill_utility_greedy(instance, route, fill, insertions);
   insert_keys_edf(instance, route, keys, insertions);
   WRSN_OBS_ADD(kCsaInsertionsTried, double(insertions));
+  WRSN_OBS_ADD(kCsaTravelCells, double(route.travel_cells()));
   return route.to_plan();
 }
 

@@ -61,8 +61,8 @@ class Planner {
 /// The paper's algorithm (EDF key skeleton + cost-benefit greedy filling).
 class CsaPlanner final : public Planner {
  public:
-  /// Flushes the accumulated insertions-tried tally to the installed obs
-  /// registry in one shot — plan() runs every replan, too often for
+  /// Flushes the accumulated insertions-tried and travel-cell tallies to the
+  /// installed obs registry in one shot — plan() runs every replan, too often for
   /// registry writes per call.
   ~CsaPlanner() override;
   std::string_view name() const override { return "CSA"; }

@@ -16,7 +16,7 @@ RouteState::RouteState(const TideInstance& instance) { bind(instance); }
 
 void RouteState::require_bound(std::size_t stop) const {
   // A stop past the binding has no start-row cell, and an instance that
-  // grew since bind() would overrun the row buffers on insert.
+  // grew since bind() would overrun the row buffers and filled_.
   WRSN_REQUIRE(stop < start_row_.size() &&
                    inst_->stops.size() == start_row_.size(),
                "stop count changed since bind(); bind() again");
@@ -31,6 +31,8 @@ void RouteState::bind(const TideInstance& instance) {
         geom::distance(instance.start_position, instance.stops[i].position) /
         instance.speed;
   }
+  travel_cells_ += n;
+  filled_.assign(n, 0);
   if (n > row_width_) {
     // Every buffer is too narrow now, and no cached row pointer survives
     // this bind.
@@ -39,6 +41,7 @@ void RouteState::bind(const TideInstance& instance) {
   }
   order_.clear();
   rows_.clear();
+  from_.clear();
   arrival_.clear();
   start_.clear();
   depart_.clear();
@@ -49,6 +52,7 @@ void RouteState::bind(const TideInstance& instance) {
 void RouteState::reserve(std::size_t stops) {
   order_.reserve(stops);
   rows_.reserve(stops);
+  from_.reserve(stops);
   arrival_.reserve(stops);
   start_.reserve(stops);
   depart_.reserve(stops);
@@ -56,15 +60,37 @@ void RouteState::reserve(std::size_t stops) {
   waitsum_.reserve(stops + 1);
 }
 
+void RouteState::fill_column(std::size_t stop) {
+  const std::size_t end = from_.size();
+  std::size_t k = filled_[stop];
+  if (k == end) return;
+  travel_cells_ += end - k;
+  const geom::Vec2 to = inst_->stops[stop].position;
+  const MetersPerSecond speed = inst_->speed;
+  for (; k < end; ++k) {
+    pool_[k][stop] = geom::distance(from_[k], to) / speed;
+  }
+  filled_[stop] = end;
+}
+
+Seconds RouteState::leg(std::size_t pos, std::size_t stop) {
+  require_bound(stop);
+  WRSN_ASSERT(pos < order_.size());
+  fill_column(stop);
+  return rows_[pos][stop];
+}
+
 std::optional<Seconds> RouteState::try_insert(std::size_t stop,
-                                              std::size_t pos) const {
+                                              std::size_t pos) {
   require_bound(stop);
   WRSN_ASSERT(pos <= order_.size());
+  fill_column(stop);
   const Stop& s = inst_->stops[stop];
 
   const Seconds prev_depart = pos == 0 ? inst_->start_time : depart_[pos - 1];
   // Legs are read from the route stops' rows (travel times are symmetric),
-  // so only stops already on the route ever have a row.
+  // so only stops already on the route ever have a row; the column
+  // filled above holds both legs.
   const Seconds leg_in = pos == 0 ? from_start(stop) : rows_[pos - 1][stop];
   const Seconds arrival = prev_depart + leg_in;
   const Seconds start = std::max(arrival, s.window_open);
@@ -87,19 +113,21 @@ std::optional<Seconds> RouteState::try_insert(std::size_t stop,
 }
 
 std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
-    std::size_t stop) const {
+    std::size_t stop) {
   // Flattened position scan: one pass with try_insert's exact arithmetic,
   // but the per-position invariants hoisted out of the loop — the stop's
   // window/service fields, a running previous-departure instead of
   // re-branching on pos == 0, and the leg into position pos + 1 carried
   // over from position pos's leg out (both are rows_[pos][stop]).  Legs
   // come from the route stops' rows, never the candidate's, so a scan
-  // needs no row for a stop that is not on the route.  Every
+  // needs no row for a stop that is not on the route, only its column in
+  // the route stops' rows, brought up to date first.  Every
   // candidate delta is >= 0 (appending never shortens the route; interior
   // deltas are clamped residuals), so a delta of exactly 0.0 cannot be
   // beaten and, with the first-strict-min tie-break, cannot even be tied
   // away from — scan over.
   require_bound(stop);
+  fill_column(stop);
   const Stop& s = inst_->stops[stop];
   const std::size_t n = order_.size();
   const Seconds open = s.window_open;
@@ -153,6 +181,8 @@ std::optional<std::pair<std::size_t, Seconds>> RouteState::best_insertion(
 }
 
 void RouteState::insert(std::size_t stop, std::size_t pos) {
+  require_bound(stop);
+  fill_column(stop);  // the stop's cells in the existing rows
   WRSN_ASSERT(try_insert(stop, pos).has_value());
   const std::size_t k = order_.size();
   if (k == pool_.size()) {
@@ -160,14 +190,18 @@ void RouteState::insert(std::size_t stop, std::size_t pos) {
   }
   Seconds* const row = pool_[k].get();
   const Stop* const stops = inst_->stops.data();
-  const std::size_t n = inst_->stops.size();
-  const MetersPerSecond speed = inst_->speed;
   const geom::Vec2 from = stops[stop].position;
-  for (std::size_t j = 0; j < n; ++j) {
-    row[j] = geom::distance(from, stops[j].position) / speed;
-  }
   order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(pos), stop);
   rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(pos), row);
+  from_.push_back(from);
+  // The new row's cells for the route stops, the stop itself included:
+  // every route stop's column is complete again.
+  const MetersPerSecond speed = inst_->speed;
+  for (const std::size_t j : order_) {
+    row[j] = geom::distance(from, stops[j].position) / speed;
+    filled_[j] = k + 1;
+  }
+  travel_cells_ += order_.size();
   rebuild();
 }
 

@@ -65,6 +65,7 @@ enum class Metric : std::uint16_t {
   // CSA planner (src/core/planners.cpp, src/core/orchestrator.cpp).
   kCsaReplans,
   kCsaInsertionsTried,
+  kCsaTravelCells,  ///< travel-time cells the routes computed, start rows too
   kCsaPlanNs,  ///< timing histogram: one CSA plan() call
   // Mobile charger energy ledger (src/mc/charger.cpp, src/mc/vehicle.cpp).
   kMcSessions,
@@ -178,6 +179,7 @@ inline constexpr std::array<MetricDef, kMetricCount> kDefTable{{
     counter("net.topology_attempts"),
     counter("csa.replans"),
     counter("csa.insertions_tried"),
+    counter("csa.travel_cells"),
     timing_ns("csa.plan_ns"),
     counter("mc.sessions"),
     counter("mc.sessions_spoofed"),

@@ -96,6 +96,7 @@ World::World(Simulator& sim, net::Network network, const WorldParams& params,
       network_(std::move(network)),
       params_(params),
       charging_model_(params.charging),
+      nominal_dc_(charging_model_.docked_dc_power()),
       rng_(std::move(rng)),
       timers_([this](net::NodeId id, NodeTimer kind) { fire_timer(id, kind); }),
       timer_attachment_(sim, timers_) {
@@ -252,10 +253,6 @@ std::vector<PendingRequest> World::pending_requests() const {
 
 std::size_t World::sink_connected_count() const {
   return net::count_sink_connected(network_, alive_mask_);
-}
-
-Watts World::nominal_dc_power() const {
-  return charging_model_.docked_dc_power();
 }
 
 Seconds World::planned_session_duration(Joules deficit) const {

@@ -234,7 +234,7 @@ class World {
 
   // --- charging-service API (benign charger and attacker both use this) -----
   /// Nominal harvest rate of a docked genuine session [W].
-  Watts nominal_dc_power() const;
+  Watts nominal_dc_power() const { return nominal_dc_; }
   /// Session length a charger plans to restore `deficit` joules, using the
   /// fleet-calibrated mean session efficiency.
   Seconds planned_session_duration(Joules deficit) const;
@@ -359,6 +359,9 @@ class World {
   net::Network network_;
   WorldParams params_;
   wpt::ChargingModel charging_model_;
+  /// charging_model_.docked_dc_power(), evaluated once: the model is fixed
+  /// for the world's lifetime and the rectifier curve costs an exp.
+  Watts nominal_dc_;
   Rng rng_;
   /// Every node's timers.
   NodeTimerQueue timers_;

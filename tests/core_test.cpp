@@ -190,8 +190,9 @@ TEST(UtilityFirstPlanner, CanMissKeysCsaKeeps) {
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 // Every row the route holds reproduces travel_time bit-for-bit: the row of
-// the stop at each route position, against every stop.
-void expect_rows_match_travel_time(const RouteState& route,
+// the stop at each route position, against every stop, read through leg()
+// (which computes a column the first time it is read).
+void expect_rows_match_travel_time(RouteState& route,
                                    const TideInstance& inst) {
   for (std::size_t i = 0; i < inst.stops.size(); ++i) {
     EXPECT_EQ(bits(route.from_start(i)),
@@ -202,7 +203,7 @@ void expect_rows_match_travel_time(const RouteState& route,
   for (std::size_t pos = 0; pos < route.order().size(); ++pos) {
     const Vec2 from = inst.stops[route.order()[pos]].position;
     for (std::size_t j = 0; j < inst.stops.size(); ++j) {
-      EXPECT_EQ(bits(route.row(pos)[j]),
+      EXPECT_EQ(bits(route.leg(pos, j)),
                 bits(inst.travel_time(from, inst.stops[j].position)))
           << pos << "," << j;
     }
@@ -211,12 +212,12 @@ void expect_rows_match_travel_time(const RouteState& route,
 
 // Both directions: the row of a's position read at b equals the row of b's
 // position read at a.
-void expect_rows_symmetric(const RouteState& route) {
+void expect_rows_symmetric(RouteState& route) {
   const std::size_t n = route.order().size();
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t q = 0; q < n; ++q) {
-      EXPECT_EQ(bits(route.row(p)[route.order()[q]]),
-                bits(route.row(q)[route.order()[p]]))
+      EXPECT_EQ(bits(route.leg(p, route.order()[q])),
+                bits(route.leg(q, route.order()[p])))
           << p << "," << q;
     }
   }
@@ -224,8 +225,8 @@ void expect_rows_symmetric(const RouteState& route) {
 
 // The TravelMatrix tests hold the travel-time rows a RouteState computes
 // (its start row and one row per route stop: the slices of the travel-time
-// matrix its scans read) to travel_time, and to the binding they were
-// computed for.
+// matrix its scans read, filled column by column as the scans read them)
+// to travel_time, and to the binding they were computed for.
 
 // Every row must reproduce travel_time bit-for-bit, symmetry included: the
 // planners' equivalence with the naive reference relies on every leg being
@@ -364,10 +365,10 @@ TEST(RouteState, RebindAfterStopsMoveLeavesNoStaleRow) {
   expect_rows_match_travel_time(route, inst);
 }
 
-// The route caches row pointers, so the first row must keep its address
-// and values while later inserts take pool buffers (50 more here, enough
-// to grow the pool several times).  A rebind at a larger stop count must
-// then serve fresh rows only.
+// The route caches row pointers, so the first row's cells, all computed
+// before any other stop enters, must keep their values while later inserts
+// take pool buffers (50 more here, enough to grow the pool several times).
+// A rebind at a larger stop count must then serve fresh rows only.
 TEST(RouteState, EarlyRowPointerSurvivesPoolGrowthAndRebind) {
   Rng gen(23);
   TideInstance inst = simple_instance();
@@ -382,21 +383,19 @@ TEST(RouteState, EarlyRowPointerSurvivesPoolGrowthAndRebind) {
   push_stops(64);
   RouteState route(inst);
   route.insert(5, 0);
-  const Seconds* const early = route.row(0);
   std::vector<std::uint64_t> expect(inst.stops.size());
   for (std::size_t j = 0; j < inst.stops.size(); ++j) {
     expect[j] = bits(inst.travel_time(inst.stops[5].position,
                                       inst.stops[j].position));
-    ASSERT_EQ(bits(early[j]), expect[j]) << j;
+    ASSERT_EQ(bits(route.leg(0, j)), expect[j]) << j;
   }
   // Each new stop goes in front, so stop 5's row moves to the back of the
   // route while its buffer stays put.
   for (std::size_t i = 10; i < 60; ++i) route.insert(i, 0);
   ASSERT_EQ(route.order().size(), 51u);
   ASSERT_EQ(route.order().back(), 5u);
-  EXPECT_EQ(route.row(50), early);
   for (std::size_t j = 0; j < inst.stops.size(); ++j) {
-    EXPECT_EQ(bits(early[j]), expect[j]) << j;
+    EXPECT_EQ(bits(route.leg(50, j)), expect[j]) << j;
   }
 
   for (Stop& s : inst.stops) {
@@ -412,9 +411,12 @@ TEST(RouteState, EarlyRowPointerSurvivesPoolGrowthAndRebind) {
 
 // A plan holds rows only for the stops on its route: every leg an insertion
 // scan reads sits next to a route stop and is read from that stop's row.
-// At 1,610 stops that is a small fraction of the n x n matrix, and probing
-// every off-route stop at every position (the scans a fill or an auction
-// runs) touches no row.
+// At 1,610 stops that is a small fraction of the n x n matrix, and a row
+// is filled only in the columns the scans read: appending the plan's
+// stops computes their own columns and nothing else, and probing every
+// off-route stop at every position (the scans a fill or an auction runs)
+// computes each probed column once.  Eager rows, a full row per insert,
+// would cost n * (1 + visits) cells right after the appends.
 TEST(RouteState, LargeCsaPlanFillsOnlyRouteRows) {
   Rng gen(42);
   TideInstance inst = simple_instance();
@@ -429,32 +431,138 @@ TEST(RouteState, LargeCsaPlanFillsOnlyRouteRows) {
     s.window_close = s.window_open + gen.uniform(3'600.0, 14'400.0);
     inst.stops.push_back(s);
   }
-  Rng rng(1);
-  const Plan plan = CsaPlanner().plan(inst, rng);
+  obs::MetricRegistry registry;
+  Plan plan;
+  {
+    const obs::ScopedRegistry scope(&registry);
+    const CsaPlanner planner;
+    Rng rng(1);
+    plan = planner.plan(inst, rng);
+  }
+  const std::size_t n = inst.stops.size();
+  const std::size_t r = plan.visits.size();
   ASSERT_FALSE(plan.visits.empty());
-  EXPECT_LT(plan.visits.size(), inst.stops.size() / 4);
+  EXPECT_LT(r, n / 4);
+  // Every stop here is reachable and has utility, so the fill's last
+  // round, which finds no feasible candidate, scans them all and completes
+  // every column: this plan computes as many cells as eager rows would.
+  EXPECT_EQ(r, 38u);
+  EXPECT_EQ(registry.value(obs::Metric::kCsaTravelCells), 62'790.0);
 
   RouteState route(inst);
-  std::vector<bool> on_route(inst.stops.size(), false);
+  std::vector<bool> on_route(n, false);
   for (const Visit& v : plan.visits) {
     route.insert(v.stop_index, route.order().size());
     on_route[v.stop_index] = true;
   }
-  std::vector<const Seconds*> rows(route.order().size());
-  for (std::size_t pos = 0; pos < rows.size(); ++pos) rows[pos] = route.row(pos);
-  for (std::size_t stop = 0; stop < inst.stops.size(); ++stop) {
+  // The start row, then per appended stop k its column in the k earlier
+  // rows and its own row's k + 1 route cells: n + r^2.
+  std::uint64_t cells = n + r * r;
+  EXPECT_EQ(route.travel_cells(), cells);
+  for (std::size_t stop = 0; stop < n; ++stop) {
     if (on_route[stop]) continue;
     (void)route.best_insertion(stop);
     for (std::size_t pos = 0; pos <= route.order().size(); ++pos) {
       (void)route.try_insert(stop, pos);
     }
   }
-  ASSERT_EQ(route.order().size(), plan.visits.size());
-  for (std::size_t pos = 0; pos < rows.size(); ++pos) {
-    EXPECT_EQ(route.row(pos), rows[pos]) << pos;
+  ASSERT_EQ(route.order().size(), r);
+  cells += (n - r) * r;
+  EXPECT_EQ(route.travel_cells(), cells);
+  expect_rows_match_travel_time(route, inst);
+  EXPECT_EQ(route.travel_cells(), cells);  // every column was complete
+  EXPECT_EQ(bits(route.to_plan().utility), bits(plan.utility));
+}
+
+// A bind that moves the stops but keeps their count must drop every filled
+// column: the rebound route's insertions and scans must read the new
+// positions, exactly as a fresh route's do.
+TEST(RouteState, RebindResetsFilledColumns) {
+  Rng gen(31);
+  TideInstance inst = simple_instance();
+  inst.speed = 2.5;
+  for (int i = 0; i < 20; ++i) {
+    inst.stops.push_back(make_stop(
+        {gen.uniform(-100.0, 100.0), gen.uniform(-100.0, 100.0)}, 0.0, 1e6,
+        gen.uniform(1.0, 5.0), 1.0, false));
+  }
+  const std::size_t n = inst.stops.size();
+  const std::vector<std::size_t> route_stops = {3, 11, 7, 15, 0, 19};
+  const auto build = [&](RouteState& route) {
+    for (const std::size_t stop : route_stops) {
+      const auto best = route.best_insertion(stop);
+      ASSERT_TRUE(best.has_value()) << stop;
+      route.insert(stop, best->first);
+    }
+  };
+  RouteState route(inst);
+  build(route);
+  for (std::size_t stop = 0; stop < n; ++stop) {
+    (void)route.best_insertion(stop);  // every column complete
+  }
+
+  for (Stop& s : inst.stops) {
+    s.position += Vec2{gen.uniform(-30.0, 30.0), gen.uniform(-30.0, 30.0)};
+  }
+  route.bind(inst);
+  RouteState fresh(inst);
+  build(route);
+  build(fresh);
+  ASSERT_EQ(route.order(), fresh.order());
+  for (std::size_t stop = 0; stop < n; ++stop) {
+    const auto got = route.best_insertion(stop);
+    const auto want = fresh.best_insertion(stop);
+    ASSERT_EQ(got.has_value(), want.has_value()) << stop;
+    if (!got) continue;
+    EXPECT_EQ(got->first, want->first) << stop;
+    EXPECT_EQ(bits(got->second), bits(want->second)) << stop;
   }
   expect_rows_match_travel_time(route, inst);
-  EXPECT_EQ(bits(route.to_plan().utility), bits(plan.utility));
+}
+
+// A candidate scanned, then scanned again after k insertions, reads legs
+// from k rows its first scan never filled: the rescan computes exactly
+// those k cells, and every leg matches travel_time bit for bit.
+TEST(RouteState, RescanFillsOnlyTheNewRowsCells) {
+  Rng gen(37);
+  TideInstance inst = simple_instance();
+  inst.speed = 3.7;
+  for (int i = 0; i < 12; ++i) {
+    inst.stops.push_back(make_stop(
+        {gen.uniform(-100.0, 100.0), gen.uniform(-100.0, 100.0)}, 0.0, 1e6,
+        1.0, 1.0, false));
+  }
+  constexpr std::size_t kCandidate = 0;
+  constexpr std::size_t kInserts = 5;
+  RouteState route(inst);
+  route.insert(1, 0);
+  route.insert(2, 1);
+  ASSERT_TRUE(route.best_insertion(kCandidate).has_value());
+  for (std::size_t stop = 3; stop < 3 + kInserts; ++stop) {
+    route.insert(stop, stop % route.order().size());
+  }
+  const std::uint64_t before = route.travel_cells();
+  const auto rescan = route.best_insertion(kCandidate);
+  EXPECT_EQ(route.travel_cells() - before, kInserts);
+  const Vec2 to = inst.stops[kCandidate].position;
+  for (std::size_t pos = 0; pos < route.order().size(); ++pos) {
+    EXPECT_EQ(bits(route.leg(pos, kCandidate)),
+              bits(inst.travel_time(inst.stops[route.order()[pos]].position,
+                                    to)))
+        << pos;
+  }
+  EXPECT_EQ(route.travel_cells() - before, kInserts);
+
+  // The same scan on a route that never saw the candidate before.
+  RouteState fresh(inst);
+  for (std::size_t pos = 0; pos < route.order().size(); ++pos) {
+    fresh.insert(route.order()[pos], pos);
+  }
+  const auto want = fresh.best_insertion(kCandidate);
+  ASSERT_TRUE(rescan.has_value());
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(rescan->first, want->first);
+  EXPECT_EQ(bits(rescan->second), bits(want->second));
 }
 
 // Visit by visit, bit for bit.

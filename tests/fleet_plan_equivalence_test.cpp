@@ -1,5 +1,6 @@
 // FleetPlanEquivalence: the cooperative fleet planner (slack-based
-// RouteState, shared pair-distance memo, CELF fills) must produce plans
+// RouteState with per-route travel rows filled column by column as the
+// scans read them, CELF fills) must produce plans
 // IDENTICAL to the retained naive sequential implementation
 // (core/fleet_reference.hpp) on every instance — same per-charger visit
 // sequences, bit-equal utilities and completion times, same orphan pool and
@@ -23,9 +24,8 @@
 namespace wrsn::csa {
 namespace {
 
-// Random fleet problem.  Stops get distinct node ids (node = index) so the
-// planner's node-pair distance memo path is exercised, not the kInvalidNode
-// fallback.
+// Random fleet problem.  Stops get distinct node ids (node = index), as a
+// mission's stops do.
 FleetInstance random_fleet(Rng& gen, int chargers, int keys, int stops) {
   FleetInstance inst;
   for (int m = 0; m < chargers; ++m) {

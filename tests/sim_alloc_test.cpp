@@ -332,8 +332,9 @@ TEST(PlannerAllocation, ReplansStayAllocationFreeAcrossLargeSmallLarge) {
 // A 1,610-stop plan holds the travel rows its route fills, not an n x n
 // block (20.7 MB at this size).  A fresh RouteState inserts the plan's
 // visits in order, so the bytes counted below are its own: the start row
-// (8 B a stop), one n-cell buffer per row filled, and the route arrays and
-// pool table (a few words per route stop).
+// and the per-stop fill counts (8 B a stop each), one n-cell buffer per
+// route row, and the route arrays and pool table (a few words per route
+// stop).
 TEST(PlannerAllocation, LargePlanMatrixBytesScaleWithRowsFilled) {
   constexpr std::size_t kStops = 1'610;
   Rng gen(42);
